@@ -136,12 +136,15 @@ def remap_tables(
     a fault remap *is* a forced reselection: the same selection seam,
     the same counters, the same trace spans.
 
+    The degraded orientation and router an attached reselector's
+    selector routes through are held on the reselector per fault set,
+    so passes during one outstanding fault reuse them.
+
     Returns the number of (src, dst) pairs whose stamped route
     actually changed.
     """
     dead_hosts = dead_hosts or set()
     topo = net.topo
-    degraded = topo.without_links(down_links) if down_links else topo
     alive = [
         h for h in sorted(net.nics)
         if h not in dead_hosts
@@ -158,23 +161,12 @@ def remap_tables(
         reselector.forced += 1
         if isinstance(host_policy, Selector):
             host_policy.begin_epoch()
-    try:
-        orientation = build_orientation(degraded, root=net.config.root)
-    except RouteError:
-        # The configured root lost every cable: let the mapper elect a
-        # new one, as the real re-discovery would.
-        try:
-            orientation = build_orientation(degraded)
-        except RouteError:
-            return 0  # no usable fabric at all; keep every stale route
-    if routing == "itb":
-        if host_policy is not None:
-            router = ItbRouter(degraded, orientation,
-                               host_policy=host_policy)
-        else:
-            router = ItbRouter(degraded, orientation)
+    if reselector is not None and host_policy is reselector.selector:
+        router = reselector.degraded_router(down_links, dead_hosts)
     else:
-        router = UpDownRouter(degraded, orientation)
+        router = _degraded_router(net, routing, down_links, host_policy)
+    if router is None:
+        return 0  # no usable fabric at all; keep every stale route
     changed = 0
     for src in alive:
         table = net.nics[src].route_table
@@ -199,7 +191,35 @@ def remap_tables(
                 reselector.note_change(src, dst, old, route)
     if reselector is not None:
         reselector.pairs_changed += changed
+        if changed:
+            reselector.tables_changed()
     return changed
+
+
+def _degraded_router(
+    net: "BuiltNetwork",
+    routing: str,
+    down_links: set[int],
+    host_policy: Optional[HostPolicy],
+) -> Union[ItbRouter, UpDownRouter, None]:
+    """A router over ``net`` without ``down_links``; ``None`` when the
+    degraded switch fabric has no usable orientation."""
+    topo = net.topo
+    degraded = topo.without_links(down_links) if down_links else topo
+    try:
+        orientation = build_orientation(degraded, root=net.config.root)
+    except RouteError:
+        # The configured root lost every cable: let the mapper elect a
+        # new one, as the real re-discovery would.
+        try:
+            orientation = build_orientation(degraded)
+        except RouteError:
+            return None
+    if routing != "itb":
+        return UpDownRouter(degraded, orientation)
+    if host_policy is not None:
+        return ItbRouter(degraded, orientation, host_policy=host_policy)
+    return ItbRouter(degraded, orientation)
 
 
 class ItbReselector:
@@ -210,16 +230,27 @@ class ItbReselector:
     hosts become hotspots (its own Figure 8 data).  The reselector
     periodically re-runs in-transit host selection over the *already
     stamped* route tables — same candidate splits, same
-    :class:`~repro.routing.itb.ItbRouter` plan memo — with a pluggable
-    :class:`~repro.routing.selectors.Selector` fed by a live
+    :class:`~repro.routing.itb.ItbRouter` switch-pair templates — with a
+    pluggable :class:`~repro.routing.selectors.Selector` fed by a live
     congestion view, and re-stamps only the pairs whose choice moved.
+
+    A pass walks a list of the ITB pairs (sorted source, then sorted
+    destination), each with its template and a route memo from the
+    tuple of chosen in-transit hosts to the stamped
+    :class:`~repro.routing.routes.ItbRoute`.  Per pair it calls the
+    selector once per cut, looks the choice up in the memo (stamping
+    only on a miss), and compares the result with the installed route by
+    identity before equality.  The pair list is rebuilt after a remap
+    changed the tables.
 
     Fault integration: a fault remap (:func:`remap_tables`) resolves
     this reselector from ``fabric.meta`` and routes through its
     selector, so PR-5's fault recovery is literally a *forced
     reselection* — and while faults are outstanding the periodic pass
     delegates to the same degraded-topology remap instead of
-    reinstalling stale full-fabric routes over it.
+    reinstalling stale full-fabric routes over it.  The degraded
+    orientation and router of the current fault set are held here
+    (:meth:`degraded_router`), so those passes do not rebuild them.
 
     Telemetry: ``runs`` / ``forced`` / ``pairs_changed`` plus the
     selector's ``decisions`` / ``engaged`` feed the ``itb_reselect_*``
@@ -241,30 +272,39 @@ class ItbReselector:
         self.runs = 0
         self.forced = 0
         self.pairs_changed = 0
-        # Full-fabric router sharing the build orientation; its plan
-        # memo makes steady-state reselection pure table lookups plus
-        # one selector call per ITB cut.
+        # Full-fabric router sharing the build orientation; its template
+        # memo makes steady-state reselection selector calls plus memo
+        # lookups.
         self._router = ItbRouter(net.topo, net.orientation,
                                  host_policy=selector)
         self._warm_plans_from_tables()
+        # (src, dst, table, template, cut switches, route memo) per ITB
+        # pair; None until the next pass rebuilds it.
+        self._pairs: Optional[list] = None
+        # (src, dst) -> {chosen in-transit hosts: stamped route}.
+        self._memos: dict[tuple[int, int],
+                          dict[tuple[int, ...], ItbRoute]] = {}
+        # (fault-set key, degraded router or None) of the last remap.
+        self._degraded: Optional[tuple] = None
         net.fabric.meta["itb_reselector"] = self
         if interval_ns is not None:
             self.start(interval_ns)
 
     def _warm_plans_from_tables(self) -> None:
-        """Rebuild the router's pair-plan memo from the stamped routes.
+        """Seed the router's switch-pair templates from the stamped routes.
 
         An ITB route's segments concatenate back into exactly the
         ``(switch_path, splits)`` plan the build-time router chose
-        (each segment re-enters at its violation switch), so the
+        (each segment re-enters at its violation switch); the router
+        validates each such plan into its template once
+        (:meth:`~repro.routing.itb.ItbRouter.adopt_plan`).  So the
         reselector never re-runs path enumeration or the legalization
-        Dijkstra for pairs the mapper already routed — reselection is
-        table lookups plus one selector call per cut.  Served off the
-        shared route-cache entry when the network was built through
+        Dijkstra for pairs the mapper already routed, and a pass stamps
+        routes from templates into the per-pair route memo.  Served off
+        the shared route-cache entry when the network was built through
         one (the tables *are* that entry's routes).
         """
         topo = self.net.topo
-        plans = self._router._plans
         for src in sorted(self.net.nics):
             table = self.net.nics[src].route_table
             if table is None:
@@ -274,15 +314,13 @@ class ItbReselector:
                 route = table.entries[dst]
                 if len(route.segments) <= 1:
                     continue
-                key = (s_src, topo.switch_of(dst))
-                if key in plans:
-                    continue
                 path = list(route.segments[0].switch_path)
                 splits: list[int] = []
                 for seg in route.segments[1:]:
                     splits.append(len(path) - 1)
                     path.extend(seg.switch_path[1:])
-                plans[key] = (path, splits)
+                self._router.adopt_plan(s_src, topo.switch_of(dst),
+                                        path, splits)
 
     @property
     def decisions(self) -> int:
@@ -307,6 +345,44 @@ class ItbReselector:
 
         self.net.sim.process(loop(), name="itb-reselect")
 
+    def degraded_router(
+        self, down_links: set[int], dead_hosts: set[int]
+    ) -> Union[ItbRouter, UpDownRouter, None]:
+        """The remap router for one fault set, built once per fault set.
+
+        Routes through this reselector's selector; ``None`` when the
+        degraded fabric has no usable orientation.
+        """
+        key = (frozenset(down_links), frozenset(dead_hosts))
+        if self._degraded is None or self._degraded[0] != key:
+            self._degraded = (key, _degraded_router(
+                self.net, "itb", down_links, self.selector))
+        return self._degraded[1]
+
+    def tables_changed(self) -> None:
+        """Someone else restamped routes: rebuild the pair list next pass."""
+        self._pairs = None
+
+    def _itb_pairs(self) -> list:
+        """The ITB pairs of the current tables, in pass order."""
+        topo = self.net.topo
+        pairs = []
+        for src in sorted(self.net.nics):
+            table = self.net.nics[src].route_table
+            if table is None:
+                continue
+            s_src = topo.switch_of(src)
+            for dst in table.destinations():
+                if len(table.entries[dst].segments) <= 1:
+                    continue
+                template = self._router.template(s_src, topo.switch_of(dst))
+                if template is None or len(template) == 1:
+                    continue
+                cuts = tuple(cut for _path, _ports, cut in template[:-1])
+                memo = self._memos.setdefault((src, dst), {})
+                pairs.append((src, dst, table, template, cuts, memo))
+        return pairs
+
     def reselect(self) -> int:
         """One reselection pass; returns the number of pairs restamped.
 
@@ -323,27 +399,29 @@ class ItbReselector:
             return remap_tables(self.net, set(injector.down_links),
                                 set(injector.dead_hosts))
         self.runs += 1
-        self.selector.begin_epoch()
+        selector = self.selector
+        selector.begin_epoch()
+        if self._pairs is None:
+            self._pairs = self._itb_pairs()
         topo = self.net.topo
+        stamp = self._router.stamp
         changed = 0
-        for src in sorted(self.net.nics):
-            table = self.net.nics[src].route_table
-            if table is None:
+        for src, dst, table, template, cuts, memo in self._pairs:
+            hosts = tuple([selector(topo, cut, src, dst) for cut in cuts])
+            route = memo.get(hosts)
+            if route is None:
+                route = memo[hosts] = stamp(src, dst, template, hosts)
+            current = table.entries[dst]
+            if route is current:
                 continue
-            s_src = topo.switch_of(src)
-            for dst in table.destinations():
-                current = table.entries[dst]
-                if len(current.segments) <= 1:
-                    continue
-                plan = self._router._pair_plan(s_src, topo.switch_of(dst))
-                if plan is None or not plan[1]:
-                    continue
-                route = self._router._build(src, dst, plan[0], plan[1])
-                if route == current:
-                    continue
-                table.install(dst, route)
-                changed += 1
-                self.note_change(src, dst, current, route)
+            if route == current:
+                # Same route, another object (the mapper's or a remap's):
+                # keep the installed one so the next pass is an `is` hit.
+                memo[hosts] = current
+                continue
+            table.install(dst, route)
+            changed += 1
+            self.note_change(src, dst, current, route)
         self.pairs_changed += changed
         return changed
 

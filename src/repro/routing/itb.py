@@ -19,6 +19,11 @@ host), the router either falls back to the plain up*/down* route or —
 with ``allow_longer=True`` — searches for the shortest *legalizable*
 path of any length.
 
+Each switch pair's plan is turned once into a :data:`Template` — the
+cut segments with their port bytes resolved and validated — and every
+host pair is *stamped* from it: the host policy picks one in-transit
+host per cut, and stamping adds only the exit-host ports.
+
 In-transit host selection within a switch is pluggable (policy
 callable), since the paper's follow-ups study load-aware placement.
 """
@@ -30,14 +35,21 @@ from typing import Callable, Optional, Sequence
 from repro.routing.minimal import _switch_adjacency, all_shortest_switch_paths
 from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
-from repro.routing.updown import UpDownRouter
+from repro.routing.updown import UpDownRouter, hop_ports
 from repro.topology.graph import Topology
 
-__all__ = ["ItbRouter", "first_host_policy", "round_robin_policy"]
+__all__ = ["ItbRouter", "Template", "first_host_policy", "round_robin_policy"]
 
 
 HostPolicy = Callable[[Topology, int, int, int], int]
 """(topo, switch, src_host, dst_host) -> chosen in-transit host id."""
+
+Template = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
+"""One ``(sub_path, inter-switch ports, cut switch)`` triple per segment.
+
+Every ``sub_path`` obeys the up*/down* rule and every port byte walks
+to the next switch of its ``sub_path``; the last segment's cut switch
+is the destination switch."""
 
 
 def first_host_policy(topo: Topology, switch: int, _src: int, _dst: int) -> int:
@@ -105,12 +117,12 @@ class ItbRouter:
         self.max_paths = max_paths
         self.allow_longer = allow_longer
         self._updown = UpDownRouter(topo, self.orientation)
-        # (s_src, s_dst) -> (path, splits) | None.  Plans never invoke
-        # host_policy (only _build does), so memoizing them is invisible
-        # to stateful policies and lets every host pair on the same
-        # switch pair share one path search.
-        self._plans: dict[tuple[int, int],
-                          Optional[tuple[list[int], list[int]]]] = {}
+        self._exits = self._updown._exits
+        # (s_src, s_dst) -> Template | None (None: plain up*/down*).
+        # Templates never invoke host_policy (only _route does), so
+        # memoizing them is invisible to stateful policies and lets
+        # every host pair on the same switch pair share one path search.
+        self._templates: dict[tuple[int, int], Optional[Template]] = {}
         # s_src -> (parent, goal) full legalization-Dijkstra tree.
         self._legal_trees: dict[int, tuple[dict, dict]] = {}
 
@@ -144,24 +156,49 @@ class ItbRouter:
         if src_host == dst_host:
             raise RouteError("source and destination host are the same")
         s_src, s_dst = topo.switch_of(src_host), topo.switch_of(dst_host)
-        plan = self._pair_plan(s_src, s_dst)
-        if plan is not None:
-            return self._build(src_host, dst_host, plan[0], plan[1])
+        template = self.template(s_src, s_dst)
+        if template is not None:
+            return self._route(src_host, dst_host, template)
         # Last resort: the plain up*/down* route (always legal).
         return self._updown.itb_route(src_host, dst_host)
+
+    def template(self, s_src: int, s_dst: int) -> Optional[Template]:
+        """Memoized :data:`Template` of a switch pair's plan.
+
+        ``None`` means "fall back to plain up*/down*".  Built and
+        validated once per switch pair; the (possibly stateful) host
+        policy is applied per host pair afterwards, by stamping.
+        """
+        key = (s_src, s_dst)
+        try:
+            return self._templates[key]
+        except KeyError:
+            pass
+        plan = self._pair_plan(s_src, s_dst)
+        template = None if plan is None else self._make_template(*plan)
+        self._templates[key] = template
+        return template
+
+    def adopt_plan(
+        self, s_src: int, s_dst: int, switch_path: list[int], splits: list[int]
+    ) -> None:
+        """Take a known ``(switch_path, splits)`` plan for a switch pair.
+
+        The plan is validated into a template like a computed one; a
+        pair that already has a template keeps it.
+        """
+        key = (s_src, s_dst)
+        if key not in self._templates:
+            self._templates[key] = self._make_template(switch_path, splits)
 
     def _pair_plan(
         self, s_src: int, s_dst: int
     ) -> Optional[tuple[list[int], list[int]]]:
-        """Memoized ``(switch_path, splits)`` plan for a switch pair.
+        """The ``(switch_path, splits)`` plan for a switch pair.
 
-        ``None`` means "fall back to plain up*/down*".  Plans are pure
-        path analysis — :meth:`_build` applies the (possibly stateful)
-        host policy per host pair afterwards.
+        ``None`` means "fall back to plain up*/down*".  Pure path
+        analysis, computed once per switch pair by :meth:`template`.
         """
-        key = (s_src, s_dst)
-        if key in self._plans:
-            return self._plans[key]
         topo = self.topo
         best: Optional[tuple[int, list[int], list[int]]] = None  # (n_itb, path, splits)
         for path in all_shortest_switch_paths(topo, s_src, s_dst,
@@ -173,13 +210,11 @@ class ItbRouter:
                 best = (len(splits), path, splits)
             if best[0] == 0:
                 break
-        plan: Optional[tuple[list[int], list[int]]] = None
         if best is not None:
-            plan = (best[1], best[2])
-        elif self.allow_longer:
-            plan = self._shortest_legalizable(s_src, s_dst)
-        self._plans[key] = plan
-        return plan
+            return best[1], best[2]
+        if self.allow_longer:
+            return self._shortest_legalizable(s_src, s_dst)
+        return None
 
     def route(self, src_host: int, dst_host: int) -> ItbRoute:
         """Alias so routers are interchangeable in the harness."""
@@ -193,11 +228,11 @@ class ItbRouter:
     ) -> dict[int, ItbRoute]:
         """ITB routes from one host to every destination host.
 
-        Shares the memoized pair plans and per-source legalization tree;
-        host_policy is still invoked once per host pair, in destination
-        order, so stateful policies see the same call sequence as the
-        per-pair loop.  ``strict=False`` skips unroutable destinations
-        (fault-remap keep-stale semantics).
+        Shares the memoized switch-pair templates and per-source
+        legalization tree; host_policy is still invoked once per cut of
+        every host pair, in destination order, so stateful policies see
+        the same call sequence as the per-pair loop.  ``strict=False``
+        skips unroutable destinations (fault-remap keep-stale semantics).
         """
         topo = self.topo
         s_src = topo.switch_of(src_host)
@@ -206,9 +241,9 @@ class ItbRouter:
             if d == src_host:
                 continue
             try:
-                plan = self._pair_plan(s_src, topo.switch_of(d))
-                if plan is not None:
-                    route = self._build(src_host, d, plan[0], plan[1])
+                template = self.template(s_src, topo.switch_of(d))
+                if template is not None:
+                    route = self._route(src_host, d, template)
                 else:
                     # Warm the up*/down* tree so the fallback is batched too.
                     self._updown.switch_tree(s_src)
@@ -223,7 +258,7 @@ class ItbRouter:
     def all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """ITB routes for every ordered host pair (the mapper's job).
 
-        Batched over shared pair plans and per-source trees;
+        Batched over shared switch-pair templates and per-source trees;
         byte-identical to :meth:`all_pairs_pairwise` including the
         host-policy call order.
         """
@@ -254,7 +289,7 @@ class ItbRouter:
         """Per-pair ITB route with no shared state — the legacy path.
 
         Re-runs path enumeration and the legalization search for every
-        pair (no plan memo, no source trees); used as the oracle that
+        pair (no template memo, no source trees); used as the oracle that
         the batched construction must match byte for byte.
         """
         topo = self.topo
@@ -272,14 +307,13 @@ class ItbRouter:
                 best = (len(splits), path, splits)
             if best[0] == 0:
                 break
+        found: Optional[tuple[list[int], list[int]]] = None
         if best is not None:
-            return self._build(src_host, dst_host, best[1], best[2])
-
-        if self.allow_longer:
+            found = best[1], best[2]
+        elif self.allow_longer:
             found = self._shortest_legalizable_pairwise(s_src, s_dst)
-            if found is not None:
-                path, splits = found
-                return self._build(src_host, dst_host, path, splits)
+        if found is not None:
+            return self._route(src_host, dst_host, self._make_template(*found))
 
         return ItbRoute((self._updown.route_pairwise(src_host, dst_host),))
 
@@ -287,44 +321,64 @@ class ItbRouter:
     # internals
     # ------------------------------------------------------------------
 
-    def _build(
+    def _make_template(
+        self, switch_path: Sequence[int], splits: Sequence[int]
+    ) -> Template:
+        """Cut ``switch_path`` at the violation switches and validate.
+
+        Each segment re-enters at the violation switch it was cut at,
+        must obey the up*/down* rule, and has its inter-switch port
+        bytes walked hop by hop (:func:`~repro.routing.updown.hop_ports`).
+        """
+        topo = self.topo
+        segments = []
+        start = 0
+        for cut in (*splits, len(switch_path) - 1):
+            sub_path = tuple(switch_path[start:cut + 1])
+            if not self.orientation.is_valid_updown_path(topo, sub_path):
+                raise RouteError(
+                    f"internal error: segment {list(sub_path)} still invalid"
+                )
+            segments.append((sub_path, hop_ports(topo, sub_path), sub_path[-1]))
+            start = cut
+        return tuple(segments)
+
+    def _route(self, src_host: int, dst_host: int,
+               template: Template) -> ItbRoute:
+        """Choose one in-transit host per cut, in order, then stamp."""
+        topo, policy = self.topo, self.host_policy
+        itb_hosts = tuple([policy(topo, cut, src_host, dst_host)
+                           for _path, _ports, cut in template[:-1]])
+        return self.stamp(src_host, dst_host, template, itb_hosts)
+
+    def stamp(
         self,
         src_host: int,
         dst_host: int,
-        switch_path: list[int],
-        splits: list[int],
+        template: Template,
+        itb_hosts: Sequence[int],
     ) -> ItbRoute:
-        """Cut ``switch_path`` at the violation switches and emit segments."""
-        topo = self.topo
-        segments: list[SourceRoute] = []
-        seg_entry_host = src_host
-        start = 0
-        cut_points = list(splits) + [len(switch_path) - 1]
-        for j, cut in enumerate(cut_points):
-            last = j == len(cut_points) - 1
-            sub_path = switch_path[start:cut + 1]
-            if last:
-                exit_host = dst_host
-            else:
-                exit_host = self.host_policy(
-                    topo, switch_path[cut], src_host, dst_host
-                )
-            ports = [topo.port_toward(a, b)
-                     for a, b in zip(sub_path, sub_path[1:])]
-            ports.append(topo.port_toward(sub_path[-1], exit_host))
-            segment = SourceRoute(
-                src=seg_entry_host,
+        """The route of one host pair through the given in-transit hosts.
+
+        ``itb_hosts`` names one host per cut of ``template``; each must
+        be attached to its cut switch.  Segments reuse the template's
+        ``switch_path`` tuples and add only the verified exit port.
+        """
+        if len(itb_hosts) != len(template) - 1:
+            raise RouteError(f"{len(template) - 1} cuts need as many"
+                             f" in-transit hosts, got {list(itb_hosts)}")
+        exits = self._exits
+        segments = []
+        entry = src_host
+        for (sub_path, ports, cut), exit_host in zip(template,
+                                                     (*itb_hosts, dst_host)):
+            segments.append(SourceRoute(
+                src=entry,
                 dst=exit_host,
-                ports=tuple(ports),
-                switch_path=tuple(sub_path),
-            )
-            if not self.orientation.is_valid_updown_path(topo, list(sub_path)):
-                raise RouteError(
-                    f"internal error: segment {sub_path} still invalid"
-                )
-            segments.append(segment)
-            seg_entry_host = exit_host
-            start = cut  # next segment re-enters at the violation switch
+                ports=ports + (exits.port(cut, exit_host),),
+                switch_path=sub_path,
+            ))
+            entry = exit_host
         return ItbRoute(tuple(segments))
 
     def _legal_tree_for(self, s_src: int) -> tuple[dict, dict]:

@@ -16,22 +16,83 @@ prefix), reconstructing a path from the tree is byte-identical to the
 per-pair search — kept verbatim as :meth:`switch_route_pairwise`, the
 oracle the benchmark gate compares against.  All-pairs construction
 drops from O(H²·E) to O(V·E).
+
+Routes are *stamped* from per-switch-path templates: the inter-switch
+port bytes of a switch path are resolved and walked (every byte must
+land on the next switch of the path) once per path, and each host pair
+adds only its verified exit port.  The resulting routes share the
+template's ``switch_path`` tuple.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.routing.minimal import _switch_adjacency
 from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.topology.graph import Topology
 
-__all__ = ["UpDownRouter"]
+__all__ = ["ExitPorts", "UpDownRouter", "hop_ports"]
 
 _PHASE_UP = 0   # still allowed to take UP hops
 _PHASE_DOWN = 1  # a DOWN hop was taken; only DOWN hops remain legal
+
+
+def _port_target(topo: Topology, node: int, port: int) -> Optional[int]:
+    """The node reached through ``port`` of ``node`` (None if uncabled)."""
+    link = topo.link_at(node, port)
+    return None if link is None else link.far_end(node, port)[0]
+
+
+def hop_ports(topo: Topology, switch_path: Sequence[int]) -> tuple[int, ...]:
+    """Output ports along ``switch_path``, each walked to the next switch.
+
+    Raises :class:`RouteError` when a port byte does not lead to the
+    switch the path names next — the deliverability check a template
+    runs once on behalf of every host pair stamped from it.
+    """
+    ports = []
+    for a, b in zip(switch_path, switch_path[1:]):
+        port = topo.port_toward(a, b)
+        if _port_target(topo, a, port) != b:
+            raise RouteError(f"port {port} of switch {a} does not lead to {b}")
+        ports.append(port)
+    return tuple(ports)
+
+
+class ExitPorts(dict):
+    """``switch -> {attached host: exit port}``, walked per switch once.
+
+    Filled on first use of a switch: every port is checked to deliver to
+    its host, so the last byte of a stamped route is verified without
+    walking the route again.
+    """
+
+    def __init__(self, topo: Topology) -> None:
+        super().__init__()
+        self.topo = topo
+
+    def __missing__(self, switch: int) -> dict[int, int]:
+        topo = self.topo
+        exits = {}
+        for host in topo.hosts_on(switch):
+            port = topo.port_toward(switch, host)
+            if _port_target(topo, switch, port) != host:
+                raise RouteError(
+                    f"port {port} of switch {switch} does not lead to {host}")
+            exits[host] = port
+        self[switch] = exits
+        return exits
+
+    def port(self, switch: int, host: int) -> int:
+        """The exit port from ``switch`` to an attached ``host``."""
+        port = self[switch].get(host)
+        if port is None:
+            raise RouteError(f"host {host} is not attached to switch {switch}")
+        return port
+
 
 class _SourceTree:
     """Per-source BFS tree: predecessor pointers plus, for every
@@ -68,6 +129,10 @@ class UpDownRouter:
         # src_switch -> _SourceTree; valid as long as the topology and
         # orientation are unchanged (routers are rebuilt on mutation).
         self._trees: dict[int, _SourceTree] = {}
+        # switch path -> (path tuple, inter-switch ports), validated once.
+        self._templates: dict[tuple[int, ...],
+                              tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._exits = ExitPorts(topo)
 
     # ------------------------------------------------------------------
     # Batched per-source construction (the hot path)
@@ -152,18 +217,19 @@ class UpDownRouter:
         topo = self.topo
         s_src = topo.switch_of(src_host)
         tree = self.switch_tree(s_src)
-        paths: dict[int, list[int]] = {}
+        templates: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         out: dict[int, SourceRoute] = {}
         for d in (topo.hosts() if dests is None else dests):
             if d == src_host:
                 continue
             try:
                 s_dst = topo.switch_of(d)
-                path = paths.get(s_dst)
-                if path is None:
-                    path = self._path_from_tree(tree, s_src, s_dst)
-                    paths[s_dst] = path
-                out[d] = self.route_via(src_host, d, path)
+                template = templates.get(s_dst)
+                if template is None:
+                    template = self._template(
+                        self._path_from_tree(tree, s_src, s_dst))
+                    templates[s_dst] = template
+                out[d] = self._stamp(src_host, d, template)
             except (RouteError, KeyError):
                 if strict:
                     raise
@@ -245,7 +311,7 @@ class UpDownRouter:
         dst_host: int,
         switch_path: Optional[list[int]],
     ) -> SourceRoute:
-        """Build a :class:`SourceRoute` along an explicit or computed
+        """Stamp a :class:`SourceRoute` along an explicit or computed
         switch path, emitting one output-port byte per switch."""
         topo = self.topo
         if src_host == dst_host:
@@ -256,20 +322,7 @@ class UpDownRouter:
             switch_path = self.switch_route(s_src, s_dst)
         if switch_path[0] != s_src or switch_path[-1] != s_dst:
             raise RouteError("switch_path endpoints do not match hosts")
-
-        ports: list[int] = []
-        for a, b in zip(switch_path, switch_path[1:]):
-            ports.append(topo.port_toward(a, b))
-        # Last byte: exit port of the destination switch toward the host.
-        ports.append(topo.port_toward(s_dst, dst_host))
-        route = SourceRoute(
-            src=src_host,
-            dst=dst_host,
-            ports=tuple(ports),
-            switch_path=tuple(switch_path),
-        )
-        self._check_deliverable(route)
-        return route
+        return self._stamp(src_host, dst_host, self._template(switch_path))
 
     def itb_route(self, src_host: int, dst_host: int) -> ItbRoute:
         """Uniform interface with :class:`ItbRouter`: a single segment."""
@@ -277,12 +330,38 @@ class UpDownRouter:
 
     # ------------------------------------------------------------------
 
-    def _check_deliverable(self, route: SourceRoute) -> None:
-        reached = self.topo.walk_route(route.src, list(route.ports))
-        if reached != route.dst:
-            raise RouteError(
-                f"route bytes deliver to node {reached}, expected {route.dst}"
-            )
+    def _template(
+        self, switch_path: Sequence[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(path, inter-switch ports)`` of a switch path, memoized.
+
+        Built once per path: the path must obey the up*/down* rule under
+        this router's orientation and every port byte must walk to the
+        next switch (:func:`hop_ports`).
+        """
+        key = tuple(switch_path)
+        template = self._templates.get(key)
+        if template is None:
+            if not self.orientation.is_valid_updown_path(self.topo, key):
+                raise RouteError(f"switch path {list(key)} is not up*/down*")
+            template = (key, hop_ports(self.topo, key))
+            self._templates[key] = template
+        return template
+
+    def _stamp(
+        self,
+        src_host: int,
+        dst_host: int,
+        template: tuple[tuple[int, ...], tuple[int, ...]],
+    ) -> SourceRoute:
+        """One host pair's route: the template plus its exit port."""
+        path, ports = template
+        return SourceRoute(
+            src=src_host,
+            dst=dst_host,
+            ports=ports + (self._exits.port(path[-1], dst_host),),
+            switch_path=path,
+        )
 
     def is_valid(self, route: SourceRoute) -> bool:
         """Check the up*/down* rule over the route's switch path."""

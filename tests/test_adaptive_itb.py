@@ -32,6 +32,7 @@ from repro.routing.routes import RouteError
 from repro.routing.selectors import (SELECTOR_NAMES, MapCongestionView,
                                      Selector, make_selector)
 from repro.topology.generators import random_irregular
+from tests.oracles.itb import ReferenceReselector
 
 #: The 8-switch study fabric: seed 11 yields 8 ITB pairs whose default
 #: in-transit host (22) shares its switch with host 23 — a real
@@ -288,6 +289,66 @@ class TestSelectionLegality:
                 assert host in adaptive.topo.hosts_on(
                     adaptive.topo.switch_of(host))
         assert is_deadlock_free(adaptive.topo, _all_routes(adaptive))
+
+
+# ---------------------------------------------------------------------------
+# template stamping + route memo == the hop-by-hop reference
+# ---------------------------------------------------------------------------
+
+
+def _memo_bound(net, src, dst):
+    """Product of the candidate counts over a pair's cut switches."""
+    bound = 1
+    for host in net.nics[src].route_table.entries[dst].itb_hosts:
+        bound *= len(net.topo.hosts_on(net.topo.switch_of(host)))
+    return bound
+
+
+class TestStampedReselection:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(SELECTOR_NAMES),
+        st.lists(
+            st.lists(st.tuples(
+                st.integers(min_value=0, max_value=63),
+                st.floats(min_value=0.0, max_value=1e9,
+                          allow_nan=False, allow_infinity=False)),
+                max_size=6),
+            min_size=1, max_size=8),
+    )
+    def test_every_pass_matches_hop_by_hop_reference(self, policy, history):
+        view = MapCongestionView()
+        net, reselector = _build(policy, view=view)
+        twin = make_selector(policy, view=view)
+        reference = ReferenceReselector(net, twin)
+        selector = reselector.selector
+        hosts = sorted(net.gm_hosts)
+        for updates in history:
+            for idx, load in updates:
+                view.set_load(hosts[idx % len(hosts)], load)
+            assert reselector.reselect() == reference.reselect()
+            assert _snapshot(net) == reference.tables
+            assert (selector.decisions, selector.engaged) == \
+                (twin.decisions, twin.engaged)
+        assert reselector.pairs_changed == reference.pairs_changed
+        for (src, dst), memo in reselector._memos.items():
+            assert len(memo) <= _memo_bound(net, src, dst)
+
+    def test_memo_fills_to_the_candidate_product_and_is_reused(self):
+        net, reselector = _build(
+            "roundrobin",
+            view=MapCongestionView({h: 1.0 for h in _topo().hosts()}))
+        for _ in range(6):
+            reselector.reselect()
+        full = 0
+        for (src, dst), memo in reselector._memos.items():
+            bound = _memo_bound(net, src, dst)
+            assert 1 <= len(memo) <= bound
+            full += len(memo) == bound > 1
+            # The installed route is the memo's object, not a copy.
+            route = net.nics[src].route_table.entries[dst]
+            assert any(r is route for r in memo.values())
+        assert full, "rotation must reach every candidate of some pair"
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,93 @@ class TestFaultFastpathComposition:
         assert st_stats.fallbacks > 0
 
 
+def _outstanding_linkdown_run(monkeypatch, reuse: bool):
+    """A link-down outstanding for ten 10 us reselection intervals under
+    a loaded least-loaded selector; returns the degraded orientations
+    built, the reselector counters, the final tables and the span dump.
+
+    ``reuse=False`` drops the reselector's degraded router before every
+    remap, so each pass rebuilds the orientation and router from
+    scratch — the reference the held router must reproduce."""
+    import repro.gm.mapper as mapper
+    from repro.obs.tracing import configure, disable
+    from repro.routing.selectors import MapCongestionView, make_selector
+    from repro.topology.generators import random_irregular
+
+    built = []
+    real_build = mapper.build_orientation
+
+    def counting_build(topo, root=None):
+        built.append(topo)
+        return real_build(topo, root=root)
+
+    monkeypatch.setattr(mapper, "build_orientation", counting_build)
+    if not reuse:
+        real_router = mapper.ItbReselector.degraded_router
+
+        def fresh_router(self, down_links, dead_hosts):
+            self._degraded = None
+            return real_router(self, down_links, dead_hosts)
+
+        monkeypatch.setattr(mapper.ItbReselector, "degraded_router",
+                            fresh_router)
+    cfg = NetworkConfig(
+        firmware="itb", routing="itb", reliable=True, seed=17,
+        timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
+    )
+    try:
+        configure(sample_every=1)
+        net = build_network(random_irregular(8, seed=11, hosts_per_switch=2),
+                            config=cfg)
+        default_host = next(
+            r.itb_hosts[0] for s in sorted(net.nics)
+            for r in net.nics[s].route_table.entries.values() if r.n_itbs)
+        reselector = mapper.ItbReselector(
+            net, make_selector("least-loaded",
+                               view=MapCongestionView({default_host: 4096.0})),
+            interval_ns=10_000.0)
+        sw = net.topo.switch_of(default_host)
+        down = next(link.link_id for link in net.topo.links
+                    if sw in (link.node_a, link.node_b)
+                    and net.topo.is_switch(link.node_a)
+                    and net.topo.is_switch(link.node_b))
+        install_fault_plan(net, FaultPlan(events=(
+            FaultEvent(kind="link-down", target=down, at_ns=25_000.0,
+                       repair_ns=100_000.0),)))
+        net.sim.run(until=200_000)
+        tables = {s: dict(net.nics[s].route_table.entries)
+                  for s in sorted(net.nics)}
+        degraded = [t for t in built if t is not net.topo]
+        counters = (reselector.runs, reselector.forced,
+                    reselector.pairs_changed, reselector.decisions,
+                    reselector.engaged)
+        return degraded, counters, tables, net.fabric.tracer.dump_json()
+    finally:
+        disable()
+
+
+class TestDegradedRouterReuse:
+    def test_outstanding_linkdown_builds_one_degraded_orientation(
+            self, monkeypatch):
+        degraded, counters, tables, spans = _outstanding_linkdown_run(
+            monkeypatch, reuse=True)
+        runs, forced, _changed, _decisions, _engaged = counters
+        # Passes at 30..120 us plus the fault's own remap at 75 us all
+        # remap on the same degraded fabric.
+        assert forced >= 3 + 1
+        assert len(degraded) == 1
+        # (runs, forced, pairs_changed, decisions, engaged) as rebuilding
+        # the degraded router on every remap produced them.
+        assert counters == (22, 12, 40, 176, 176)
+        monkeypatch.undo()
+        ref_degraded, ref_counters, ref_tables, ref_spans = \
+            _outstanding_linkdown_run(monkeypatch, reuse=False)
+        assert len(ref_degraded) == forced - 1  # the repair remap is not degraded
+        assert counters == ref_counters
+        assert tables == ref_tables
+        assert spans == ref_spans
+
+
 class TestFaultAdaptiveComposition:
     """Faults x adaptive selection: link-down remap is a *forced*
     reselection through the same selector, so a loaded default

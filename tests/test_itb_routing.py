@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from repro.routing.cdg import is_deadlock_free
 from repro.routing.itb import ItbRouter, first_host_policy, round_robin_policy
-from repro.routing.minimal import MinimalRouter
-from repro.routing.routes import RouteError
-from repro.routing.spanning_tree import build_orientation
+from repro.routing.minimal import MinimalRouter, _switch_adjacency
+from repro.routing.routes import Direction, RouteError
+from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import fig1_topology, linear_switches, random_irregular
 from repro.topology.graph import PortKind, Topology
@@ -52,6 +52,102 @@ class TestShowcase:
         for seg in route.segments:
             assert router.orientation.is_valid_updown_path(
                 topo, list(seg.switch_path))
+
+
+def _flipped(topo, orientation):
+    """The orientation with every link's up end swapped."""
+    flipped = UpDownOrientation(root=orientation.root,
+                                level=dict(orientation.level),
+                                parent=dict(orientation.parent))
+    for link in topo.links:
+        up = orientation.up_end.get(link.link_id)
+        if up is not None:
+            flipped.up_end[link.link_id] = (link.node_b if up == link.node_a
+                                            else link.node_a)
+    return flipped
+
+
+class TestTemplateChecks:
+    """Templates are validated once per switch pair, and that check
+    still rejects every corruption the per-pair rebuild rejected."""
+
+    @pytest.fixture
+    def study(self):
+        topo = random_irregular(8, seed=11, hosts_per_switch=2)
+        orientation = build_orientation(topo)
+        return topo, orientation, ItbRouter(topo, orientation).all_pairs()
+
+    def test_port_byte_to_wrong_switch_raises(self, study, monkeypatch):
+        topo, orientation, routes = study
+        adjacency = _switch_adjacency(topo)
+        for (s, d), route in routes.items():
+            seg = route.segments[0]
+            if route.n_itbs and len(seg.switch_path) >= 2:
+                a, b = seg.switch_path[:2]
+                others = [n for n in adjacency[a] if n != b]
+                if others:
+                    break
+        else:
+            pytest.skip("no ITB route with a detour-able first hop")
+        table = topo.derived("port_toward", topo._build_port_table)
+        monkeypatch.setitem(table, (a, b), table[(a, others[0])])
+        with pytest.raises(RouteError, match="does not lead to"):
+            ItbRouter(topo, orientation).itb_route(s, d)
+        with pytest.raises(RouteError, match="does not lead to"):
+            UpDownRouter(topo, orientation).route_via(
+                seg.src, seg.dst, list(seg.switch_path))
+
+    def test_exit_port_to_wrong_host_raises(self, study, monkeypatch):
+        topo, orientation, routes = study
+        s, d = next(pair for pair, route in routes.items() if route.n_itbs)
+        sw = topo.switch_of(d)
+        other = next(h for h in topo.hosts_on(sw) if h != d)
+        table = topo.derived("port_toward", topo._build_port_table)
+        monkeypatch.setitem(table, (sw, d), table[(sw, other)])
+        with pytest.raises(RouteError, match="does not lead to"):
+            ItbRouter(topo, orientation).itb_route(s, d)
+        with pytest.raises(RouteError, match="does not lead to"):
+            UpDownRouter(topo, orientation).route(s, d)
+
+    def test_segment_invalid_under_orientation_raises(self, study):
+        from tests.oracles.itb import plan_of
+
+        topo, orientation, routes = study
+        for (s, d), route in routes.items():
+            seg = next((seg for seg in route.segments
+                        if _climbs_then_descends(topo, orientation,
+                                                 seg.switch_path)), None)
+            if seg is not None:
+                break
+        else:
+            pytest.skip("no segment both climbs and descends")
+        flipped = _flipped(topo, orientation)
+        assert not flipped.is_valid_updown_path(topo, seg.switch_path)
+        with pytest.raises(RouteError, match="still invalid"):
+            ItbRouter(topo, flipped).adopt_plan(
+                topo.switch_of(s), topo.switch_of(d), *plan_of(route))
+        with pytest.raises(RouteError, match="not up"):
+            UpDownRouter(topo, flipped).route_via(
+                seg.src, seg.dst, list(seg.switch_path))
+
+    def test_stamp_rejects_host_off_the_cut_switch(self, study):
+        topo, orientation, routes = study
+        s, d = next(pair for pair, route in routes.items() if route.n_itbs)
+        router = ItbRouter(topo, orientation)
+        template = router.template(topo.switch_of(s), topo.switch_of(d))
+        cut = template[0][2]
+        stranger = next(h for h in topo.hosts()
+                        if topo.switch_of(h) != cut)
+        with pytest.raises(RouteError, match="not attached"):
+            router.stamp(s, d, template, (stranger,) * (len(template) - 1))
+        with pytest.raises(RouteError, match="cuts need"):
+            router.stamp(s, d, template, ())
+
+
+def _climbs_then_descends(topo, orientation, switch_path):
+    dirs = orientation.path_directions(topo, switch_path)
+    return any(a is Direction.UP and b is Direction.DOWN
+               for a, b in zip(dirs, dirs[1:]))
 
 
 class TestAllPairs:

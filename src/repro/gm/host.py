@@ -168,6 +168,13 @@ class GmHost:
             np.random.SeedSequence(entropy=seed, spawn_key=(nic.host,))
         )
         self._recv_queue: Store = Store(sim, name=f"gmrecv[{self.name}]")
+        # Per-host process/event names, in the ``kind[instance]`` form
+        # the profiler buckets by, built once rather than per message.
+        self._component = f"gm[{self.name}]"
+        self._send_proc_name = f"gmsend[{self.name}]"
+        self._recv_proc_name = f"gmrecv[{self.name}]"
+        self._senddone_name = f"senddone[{self.name}]"
+        self._window_name = f"window[{self.name}]"
         self._connections: dict[int, _Connection] = {}
         self._in_flight: dict[int, _InFlightMessage] = {}
         self._msg_counter = 0
@@ -208,12 +215,12 @@ class GmHost:
         self._msg_counter += 1
         msg_id = (self.host << 24) | self._msg_counter
         n_packets = max(1, -(-length // GM_MTU))
-        done = Event(self.sim, name=f"senddone[{self.name}]")
+        done = Event(self.sim, name=self._senddone_name)
         tracer = self.nic.fabric.tracer
         root = None
         if tracer is not None and tracer.sample():
             root = tracer.begin(
-                "message", self.sim.now, component=f"gm[{self.name}]",
+                "message", self.sim.now, component=self._component,
                 src=self.host, dst=dst, length=length, tag=tag,
                 msg_id=msg_id)
         self._in_flight[msg_id] = _InFlightMessage(
@@ -222,7 +229,7 @@ class GmHost:
         )
         self.sim.process(
             self._send_proc(msg_id, dst, length, tag, route, done, root),
-            name=f"gmsend[{self.name}]",
+            name=self._send_proc_name,
         )
         return done
 
@@ -246,7 +253,7 @@ class GmHost:
             if root is not None:
                 hs = root.tracer.begin(
                     "host_send", self.sim.now, parent=root,
-                    component=f"gm[{self.name}]", pkt=i)
+                    component=self._component, pkt=i)
             yield Timeout(t.host_send_sw_ns + self._host_noise())
             if hs is not None:
                 hs.close(self.sim.now)
@@ -255,13 +262,13 @@ class GmHost:
             # Send-window backpressure: gm_send blocks while the
             # go-back-N window is full of unacked packets.
             while self.reliable and len(conn.unacked) >= self.window:
-                gate = Event(self.sim, name=f"window[{self.name}]")
+                gate = Event(self.sim, name=self._window_name)
                 conn.window_waiters.append(gate)
                 ws = None
                 if root is not None:
                     ws = root.tracer.begin(
                         "window_wait", self.sim.now, parent=root,
-                        component=f"gm[{self.name}]", pkt=i)
+                        component=self._component, pkt=i)
                 ok = yield gate
                 if ws is not None:
                     ws.close(self.sim.now)
@@ -306,7 +313,7 @@ class GmHost:
             attempt = tracer.begin(
                 "attempt", self.sim.now,
                 parent=state.trace0 if state.trace0 is not None else root,
-                component=f"gm[{self.name}]",
+                component=self._component,
                 seq=state.seq, retry=state.retries, last=state.last_packet)
             if state.trace0 is None:
                 state.trace0 = attempt
@@ -425,7 +432,7 @@ class GmHost:
             conn = self._connections.setdefault(tp.src, _Connection())
             conn.expected_seq = tp.gm.get("reset_seq", conn.expected_seq)
             return
-        self.sim.process(self._recv_proc(tp), name=f"gmrecv[{self.name}]")
+        self.sim.process(self._recv_proc(tp), name=self._recv_proc_name)
 
     def _recv_proc(self, tp: TransitPacket):
         t = self.timings
@@ -434,7 +441,7 @@ class GmHost:
         if ctx is not None and ctx.root is not None:
             gr = ctx.tracer.begin(
                 "gm_recv", self.sim.now, parent=ctx.root,
-                component=f"gm[{self.name}]")
+                component=self._component)
         # Host-side receive work (event queue poll, token return).
         yield Timeout(t.host_recv_sw_ns + self._host_noise())
         if gr is not None:
@@ -496,7 +503,7 @@ class GmHost:
             tracer = parent.tracer
             span = tracer.begin(
                 gm.get("kind", "ctl"), self.sim.now, parent=parent,
-                component=f"gm[{self.name}]")
+                component=self._component)
             trace_ctx = tracer.packet(None, span)
         try:
             self.nic.firmware.host_send(

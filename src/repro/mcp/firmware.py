@@ -89,7 +89,6 @@ class TransitPacket:
     # -- timestamps (ns) -------------------------------------------------
     t_api_send: Optional[float] = None     # gm_send() called
     t_inject: Optional[float] = None       # first byte onto the wire
-    t_header_dst: Optional[float] = None   # early bytes at final NIC
     t_complete_dst: Optional[float] = None  # last byte at final NIC
     t_deliver: Optional[float] = None      # handed to host software
     itb_times: list = field(default_factory=list)  # per-ITB forward times
@@ -132,19 +131,38 @@ class Firmware:
         self.sim: Simulator = nic.sim
         self.timings: Timings = nic.timings
         self._pid_counter = 0
+        # Per-NIC process/event names, in the ``kind[instance]`` form
+        # the profiler buckets by, built once rather than per packet.
+        name = nic.name
+        self._trace_component = f"mcp[{name}]"
+        self._sdma_name = f"sdma[{name}]"
+        self._recv_name = f"recv[{name}]"
+        self._itbfwd_name = f"itbfwd[{name}]"
+        self._drain_name = f"drain[{name}]"
+        self._bufwait_name = f"bufwait[{name}]"
+        # Uncontended firmware code times: they depend only on the
+        # frozen timings; ``arbiter.scaled`` applies the contention of
+        # the moment at each use.
+        t = self.timings
+        self._send_ns = t.cycles(t.mcp_send_cycles)
+        self._itb_dispatch_ns = (t.cycles(t.itb_program_dma_cycles)
+                                 + t.cycles(t.mcp_send_cycles) * 0.5)
+        self._recv_ns = t.cycles(t.mcp_recv_cycles) + self._recv_extra_ns()
+        self._early_recv_ns = t.cycles(t.itb_early_recv_cycles)
+        self._program_dma_ns = t.cycles(t.itb_program_dma_cycles)
         # The Send machine's prioritized work queue: the event handler
         # always dispatches the highest-priority pending event (paper
         # Figure 5) — ITB-pending re-injections outrank normal sends.
         from repro.sim.resources import PriorityStore, Resource
 
-        self._send_work = PriorityStore(nic.sim, name=f"sendq[{nic.name}]")
+        self._send_work = PriorityStore(nic.sim, name=f"sendq[{name}]")
         # The wire-side send DMA engine: one packet at a time, whether
         # driven by the Send machine or the Recv fast path.
         self._send_engine = Resource(nic.sim, capacity=1,
-                                     name=f"senddma[{nic.name}]")
+                                     name=f"senddma[{name}]")
         # Worms stalled waiting for a receive buffer (backpressure).
         self._recv_waiters: Deque[tuple[Worm, Event]] = deque()
-        self.sim.process(self._send_machine(), name=f"send[{nic.name}]")
+        self.sim.process(self._send_machine(), name=f"send[{name}]")
         nic.attach_firmware(self)
 
     # ------------------------------------------------------------------
@@ -188,7 +206,7 @@ class Firmware:
             t_api_send=self.sim.now,
             trace=trace,
         )
-        self.sim.process(self._sdma(tp), name=f"sdma[{self.nic.name}]")
+        self.sim.process(self._sdma(tp), name=self._sdma_name)
         return tp
 
     def _sdma(self, tp: TransitPacket):
@@ -218,7 +236,6 @@ class Firmware:
         """The Send state machine, fed by the prioritized event queue:
         pending ITB re-injections (``ITB packet pending``) outrank
         normal sends; ties dispatch FIFO."""
-        t = self.timings
         arbiter = self.nic.arbiter
         while True:
             kind, tp = yield self._send_work.get()
@@ -231,21 +248,15 @@ class Firmware:
             if kind == "itb":
                 # Deferred re-injection: one dispatch cycle was lost
                 # (the paper's Recv fast path exists to avoid this).
-                yield Timeout(arbiter.scaled(
-                    t.cycles(t.itb_program_dma_cycles)
-                    + t.cycles(t.mcp_send_cycles) * 0.5))
+                yield Timeout(arbiter.scaled(self._itb_dispatch_ns))
             else:
                 # Dispatch + route stamp + program the send DMA.
-                yield Timeout(arbiter.scaled(t.cycles(t.mcp_send_cycles)))
+                yield Timeout(arbiter.scaled(self._send_ns))
             yield from self._inject(tp)
 
     @property
     def _send_busy(self) -> bool:
         return not self._send_engine.free
-
-    @property
-    def _trace_component(self) -> str:
-        return f"mcp[{self.nic.name}]"
 
     def _inject(self, tp: TransitPacket):
         """Run the wire-side send DMA: launch the worm for the current
@@ -270,7 +281,7 @@ class Firmware:
             self.nic.stats.packets_forwarded += 1
         self.nic.emit("inject", pid=tp.pid, seg=seg_index,
                       bytes=tp.image.wire_length)
-        done = Event(self.sim, name=f"drain[{self.nic.name}]")
+        done = Event(self.sim, name=self._drain_name)
         worm.meta["on_drained"] = done
         self.nic.arbiter.engine_start("send_dma")
         tr = tp.trace
@@ -343,7 +354,7 @@ class Firmware:
             return
         tp.image = image
         tp.t_complete_dst = t_now
-        self.sim.process(self._recv_and_rdma(tp), name=f"recv[{self.nic.name}]")
+        self.sim.process(self._recv_and_rdma(tp), name=self._recv_name)
 
     def _recv_and_rdma(self, tp: TransitPacket):
         """Recv machine processing, then RDMA into host memory."""
@@ -352,8 +363,7 @@ class Firmware:
         tr = tp.trace
         if tr is not None:
             tr.begin("recv", self.sim.now, component=self._trace_component)
-        yield Timeout(arbiter.scaled(
-            t.cycles(t.mcp_recv_cycles) + self._recv_extra_ns()))
+        yield Timeout(arbiter.scaled(self._recv_ns))
         dma = self.nic.host_dma
         yield dma.request(owner=tp)
         arbiter.engine_start("host_dma")
@@ -384,7 +394,6 @@ class Firmware:
         buffers = self.nic.recv_buffers
         size = worm.image.wire_length
         if buffers.try_accept(tp, size):
-            tp.t_header_dst = self.sim.now if tp.final_segment else tp.t_header_dst
             return None
         if buffers.drops_when_full():
             # Buffer-pool overflow: flush the packet (GM retransmits).
@@ -394,7 +403,7 @@ class Firmware:
             self.nic.emit("flush", pid=tp.pid)
             return None
         # Fixed buffers: stall the wire until a slot frees.
-        gate = Event(self.sim, name=f"bufwait[{self.nic.name}]")
+        gate = Event(self.sim, name=self._bufwait_name)
         self._recv_waiters.append((worm, gate))
         self.nic.emit("recv_blocked", pid=tp.pid)
         stall_start = self.sim.now
@@ -490,21 +499,18 @@ class ItbFirmware(Firmware):
                      component=self._trace_component,
                      key=f"itb_buffer{tp.seg_index}", seg=tp.seg_index)
         self.nic.emit("early_recv", pid=tp.pid, seg=tp.seg_index)
-        self.sim.process(
-            self._forward(worm, tp), name=f"itbfwd[{self.nic.name}]"
-        )
+        self.sim.process(self._forward(worm, tp), name=self._itbfwd_name)
         return gate
 
     def _forward(self, worm: Worm, tp: TransitPacket):
         """Detect, strip the stage header, and re-inject."""
-        t = self.timings
         arbiter = self.nic.arbiter
         t_start = self.sim.now
         tr = tp.trace
         if tr is not None:
             tr.begin("itb_detect", t_start, component=self._trace_component)
         # Event-handler dispatch + in-transit detection code.
-        yield Timeout(arbiter.scaled(t.cycles(t.itb_early_recv_cycles)))
+        yield Timeout(arbiter.scaled(self._early_recv_ns))
         if tp.dropped:
             # Killed (fault) while the detection code ran: the loss
             # path already freed this host's buffer slot — do not
@@ -525,7 +531,7 @@ class ItbFirmware(Firmware):
             if tr is not None:
                 tr.begin("itb_program", self.sim.now,
                          component=self._trace_component, key="dispatch")
-            yield Timeout(arbiter.scaled(t.cycles(t.itb_program_dma_cycles)))
+            yield Timeout(arbiter.scaled(self._program_dma_ns))
             self.nic.emit("reinject_immediate", pid=tp.pid, seg=tp.seg_index)
             yield from self._inject(tp)
         else:

@@ -22,11 +22,17 @@ well-formed Myrinet packet whose leading bytes are ``path_1``.
 
 This module builds and manipulates real byte images so tests exercise
 the exact header arithmetic the MCP performs.
+
+Like the mapper writing route bytes into NIC SRAM once, a route's
+header bytes (every sub-path plus its ITB stage headers) are encoded on
+the route's first send and memoized on the route object itself; every
+later packet on that route only copies them (see
+``docs/ENGINE_FASTPATH.md``, "Per-packet NIC path").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.routing.routes import ItbRoute, SourceRoute
@@ -63,6 +69,7 @@ CRC_LEN = 1
 ITB_HEADER_LEN = TYPE_LEN + 1
 
 _KNOWN_TYPES = {TYPE_GM, TYPE_MAPPING, TYPE_IP, TYPE_ITB}
+_ITB_TAG = bytes([TYPE_ITB >> 8, TYPE_ITB & 0xFF])
 
 
 def _route_byte(port: int) -> int:
@@ -136,16 +143,16 @@ class PacketImage:
         if not self.leading_is_route_byte():
             raise PacketFormatError("leading byte is not a route byte")
         port = _decode_route_byte(self.data[self.offset])
-        return port, replace(self, offset=self.offset + 1)
+        return port, PacketImage(self.data, self.offset + 1, self.payload_len)
 
     def consume_route_bytes(self, ports: Sequence[int]) -> "PacketImage":
         """Whole-segment switch behaviour in one step.
 
         Validates that the leading wire bytes are route bytes decoding
         to ``ports`` (in order) and strips them all — one cursor
-        advance instead of one :func:`dataclasses.replace` per hop.
-        The worm layer shares this single decode between its stepped
-        and express paths.
+        advance instead of one new image per hop.  The worm layer
+        shares this single decode between its stepped and express
+        paths.
         """
         data, pos = self.data, self.offset
         end = len(data)
@@ -158,7 +165,7 @@ class PacketImage:
                     f"route byte {decoded} != expected port {port}"
                 )
             pos += 1
-        return replace(self, offset=pos)
+        return PacketImage(data, pos, self.payload_len)
 
     def strip_itb_stage(self) -> tuple[int, "PacketImage"]:
         """In-transit host behaviour: strip ``ITB | len``.
@@ -172,7 +179,8 @@ class PacketImage:
         if length_at >= len(self.data):
             raise PacketFormatError("truncated ITB stage header")
         remaining = self.data[length_at]
-        return remaining, replace(self, offset=self.offset + ITB_HEADER_LEN)
+        return remaining, PacketImage(self.data, self.offset + ITB_HEADER_LEN,
+                                      self.payload_len)
 
     def payload(self) -> bytes:
         """User payload bytes (walks the remaining header)."""
@@ -190,7 +198,7 @@ class PacketImage:
         info = decode_header(self)
         covered = self.data[len(self.data) - CRC_LEN - info.payload_len - TYPE_LEN:
                             len(self.data) - CRC_LEN]
-        return _xor_crc(covered) == self.data[-1]
+        return _xor_fold(covered) == self.data[-1]
 
 
 @dataclass(frozen=True)
@@ -251,11 +259,47 @@ def decode_header(image: PacketImage) -> HeaderInfo:
         )
 
 
-def _xor_crc(data: bytes) -> int:
-    crc = 0
-    for b in data:
-        crc ^= b
-    return crc
+def _xor_fold(data: bytes) -> int:
+    """XOR of every byte of ``data``, folded at C speed.
+
+    The bytes become one integer whose upper and lower halves are
+    XOR-ed together until a single byte is left: log2(len) big-integer
+    operations instead of one Python step per byte.
+    """
+    width = len(data)
+    value = int.from_bytes(data, "little")
+    while width > 1:
+        width = (width + 1) // 2
+        shift = 8 * width
+        value = (value >> shift) ^ (value & ((1 << shift) - 1))
+    return value
+
+
+#: Key of the header memo in a route object's ``__dict__``.
+_HEADER_MEMO = "_packet_header"
+
+
+def _route_header(route: ItbRoute | SourceRoute) -> bytes:
+    """Every sub-path's route bytes plus the ITB stage headers between
+    them: everything in front of the final type field.
+
+    Encoded on the first call for a route object and memoized on the
+    object (frozen dataclasses keep a writable ``__dict__``, as
+    :func:`functools.cached_property` relies on).  Routes are
+    immutable and a remap or reselection installs new route objects,
+    so the memo never goes stale and dies with its route.
+    """
+    header = route.__dict__.get(_HEADER_MEMO)
+    if header is None:
+        segments = (route,) if isinstance(route, SourceRoute) else route.segments
+        parts = [bytes([_route_byte(p) for p in segments[0].ports])]
+        for seg in segments[1:]:
+            path = bytes([_route_byte(p) for p in seg.ports])
+            if len(path) > 255:
+                raise PacketFormatError("sub-path longer than 255 switches")
+            parts.append(_ITB_TAG + bytes([len(path)]) + path)
+        header = route.__dict__[_HEADER_MEMO] = b"".join(parts)
+    return header
 
 
 def encode_packet(
@@ -267,33 +311,19 @@ def encode_packet(
     Fig. 3b otherwise).
 
     ``payload`` may be real bytes or just a length (content zeros) for
-    performance runs where only sizes matter.
+    performance runs where only sizes matter.  The XOR of an all-zero
+    payload is 0, so a length-only packet's CRC is the XOR of its two
+    type bytes alone.
     """
-    if isinstance(route, SourceRoute):
-        route = ItbRoute((route,))
     if isinstance(payload, int):
         payload_bytes = bytes(payload)
+        crc = 0
     else:
         payload_bytes = bytes(payload)
+        crc = _xor_fold(payload_bytes)
     if final_type == TYPE_ITB:
         raise PacketFormatError("final type cannot be the ITB tag")
-
-    segments = route.segments
-    # Build from the tail: final type + payload + CRC, then prepend
-    # stages right-to-left.
-    tail = bytes([final_type >> 8, final_type & 0xFF]) + payload_bytes
-    tail += bytes([_xor_crc(bytes([final_type >> 8, final_type & 0xFF])
-                            + payload_bytes)])
-
-    body = tail
-    for seg in reversed(segments[1:]):
-        path = bytes(_route_byte(p) for p in seg.ports)
-        remaining_path_len = len(path)
-        if remaining_path_len > 255:
-            raise PacketFormatError("sub-path longer than 255 switches")
-        stage = (bytes([TYPE_ITB >> 8, TYPE_ITB & 0xFF])
-                 + bytes([remaining_path_len]) + path)
-        body = stage + body
-    first_path = bytes(_route_byte(p) for p in segments[0].ports)
-    data = first_path + body
-    return PacketImage(data=data, offset=0, payload_len=len(payload_bytes))
+    hi, lo = final_type >> 8, final_type & 0xFF
+    data = b"".join((_route_header(route), bytes([hi, lo]), payload_bytes,
+                     bytes([hi ^ lo ^ crc])))
+    return PacketImage(data, 0, len(payload_bytes))

@@ -43,6 +43,12 @@ _CPU_DEMAND = 2.0
 #: Fraction of cycles the processor is guaranteed even under full DMA
 #: load (bus turnaround / burst gaps).
 _CPU_FLOOR = 0.25
+#: Engine name -> the field counting its active bursts.
+_ENGINE_FIELDS = {
+    "host_dma": "host_dma_active",
+    "recv_dma": "recv_dma_active",
+    "send_dma": "send_dma_active",
+}
 
 
 @dataclass
@@ -74,8 +80,8 @@ class MemoryArbiter:
         self._bump(engine, -1)
 
     def _bump(self, engine: str, delta: int) -> None:
-        attr = f"{engine}_active"
-        if not hasattr(self, attr):
+        attr = _ENGINE_FIELDS.get(engine)
+        if attr is None:
             raise ValueError(f"unknown engine {engine!r}")
         value = getattr(self, attr) + delta
         if value < 0:

@@ -132,14 +132,24 @@ class Event:
         run-to-completion semantics for the caller.
         """
         if self.triggered:
-            self.sim.schedule(0.0, lambda: fn(self))
+            sim = self.sim
+            sim._seq += 1
+            sim._immediate.append((sim._seq, lambda: fn(self)))
         else:
             self._callbacks.append(fn)
 
     def _dispatch(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        """Fan out to the callbacks: one immediate-lane entry each, with
+        the ``seq`` accounting of ``sim.schedule(0.0, ...)``."""
+        callbacks = self._callbacks
+        if not callbacks:
+            return
+        self._callbacks = []
+        sim = self.sim
+        immediate = sim._immediate
         for fn in callbacks:
-            self.sim.schedule(0.0, lambda fn=fn: fn(self))
+            sim._seq += 1
+            immediate.append((sim._seq, lambda fn=fn: fn(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
@@ -194,16 +204,23 @@ class Process:
     A ``Process`` is itself waitable: yielding it from another process
     joins it (resumes the waiter when this process returns), with the
     process's return value delivered as the yield result.
+
+    The done-event behind a join is created on demand, the first time
+    :attr:`done_event` is read or another process joins: most processes
+    are never joined, and an event nothing waits on would only be
+    allocated and triggered for nothing.
     """
 
-    __slots__ = ("sim", "gen", "name", "_done", "_waiting_on", "_return",
-                 "_wait_token")
+    __slots__ = ("sim", "gen", "name", "_done", "_alive", "_crash_exc",
+                 "_waiting_on", "_return", "_wait_token")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "") -> None:
         self.sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._done = Event(sim, name=f"done:{self.name}")
+        self._done: Optional[Event] = None
+        self._alive = True
+        self._crash_exc: Optional[BaseException] = None
         self._waiting_on: Optional[Event] = None
         self._return: Any = None
         self._wait_token = 0
@@ -212,11 +229,23 @@ class Process:
 
     @property
     def alive(self) -> bool:
-        return not self._done.triggered
+        return self._alive
 
     @property
     def done_event(self) -> Event:
-        return self._done
+        """Triggers when the process returns; fails when it crashes.
+
+        Read after the process has ended, it is already triggered (or
+        already failed)."""
+        done = self._done
+        if done is None:
+            done = self._done = Event(self.sim, name=f"done:{self.name}")
+            if not self._alive:
+                if self._crash_exc is not None:
+                    done.fail(self._crash_exc)
+                else:
+                    done.succeed(self._return)
+        return done
 
     @property
     def returned(self) -> Any:
@@ -229,7 +258,7 @@ class Process:
         Interrupting a dead process is an error; interrupting a process
         that is waiting detaches it from whatever it was waiting on.
         """
-        if not self.alive:
+        if not self._alive:
             raise SimulationError(f"cannot interrupt dead process {self.name!r}")
         self.sim.schedule(0.0, lambda: self._throw(Interrupt(cause)))
 
@@ -244,7 +273,7 @@ class Process:
         Safe against late delivery: a no-op once the process has
         terminated.  Also invalidates any pending direct-resume timer.
         """
-        if not self.alive:
+        if not self._alive:
             return  # terminated between scheduling and delivery
         self._waiting_on = None
         self._wait_token += 1
@@ -306,11 +335,21 @@ class Process:
         """
         token = self._wait_token
         value = target.value
-        self.sim.schedule(target.delay,
-                          lambda: self._resume_from_timeout(token, value))
+
+        def resume() -> None:
+            self._resume_from_timeout(token, value)
+
+        # ``sim.schedule(target.delay, resume)``, inlined.
+        sim = self.sim
+        sim._seq += 1
+        if target.delay == 0.0:
+            sim._immediate.append((sim._seq, resume))
+        else:
+            heapq.heappush(sim._queue,
+                           (sim._now + target.delay, 0, sim._seq, resume))
 
     def _resume_from_timeout(self, token: int, value: Any) -> None:
-        if token != self._wait_token or self._done.triggered:
+        if token != self._wait_token or not self._alive:
             return  # stale timer (interrupted, or wait superseded)
         self._step(value)
 
@@ -318,7 +357,7 @@ class Process:
         self._attach(target)
 
     def _wait_process(self, target: "Process") -> None:
-        self._attach(target._done)
+        self._attach(target.done_event)
 
     def _wait_all_of(self, target: AllOf) -> None:
         self._attach(self._make_all_of(target))
@@ -365,12 +404,17 @@ class Process:
 
     def _finish(self, value: Any) -> None:
         self._return = value
-        self._done.succeed(value)
+        self._alive = False
+        if self._done is not None:
+            self._done.succeed(value)
 
     def _crash(self, exc: BaseException) -> None:
         self.sim._record_crash(self, exc)
         self._return = None
-        self._done.fail(exc)
+        self._alive = False
+        self._crash_exc = exc
+        if self._done is not None:
+            self._done.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} {'alive' if self.alive else 'done'}>"
@@ -489,7 +533,8 @@ class Simulator:
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a generator as a process at the current time."""
         proc = Process(self, gen, name=name)
-        self.schedule(0.0, proc._start)
+        self._seq += 1
+        self._immediate.append((self._seq, proc._start))
         return proc
 
     def process_now(self, gen: ProcessGen, name: str = "") -> Process:

@@ -38,7 +38,8 @@ class Resource:
     hold).
     """
 
-    __slots__ = ("sim", "capacity", "name", "_holders", "_waiters")
+    __slots__ = ("sim", "capacity", "name", "_req_name", "_holders",
+                 "_waiters")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -46,6 +47,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._req_name = f"req:{name}"
         self._holders: list[Any] = []
         self._waiters: Deque[tuple[Any, Event]] = deque()
 
@@ -71,7 +73,7 @@ class Resource:
 
     def request(self, owner: Any) -> Event:
         """Return an event that triggers when ``owner`` holds the resource."""
-        ev = Event(self.sim, name=f"req:{self.name}")
+        ev = Event(self.sim, name=self._req_name)
         if len(self._holders) < self.capacity and not self._waiters:
             self._holders.append(owner)
             ev.succeed(self)
@@ -122,7 +124,8 @@ class Store:
     non-blocking variants used by firmware-style polling code.
     """
 
-    __slots__ = ("sim", "capacity", "name", "_items", "_getters", "_putters")
+    __slots__ = ("sim", "capacity", "name", "_put_name", "_get_name",
+                 "_items", "_getters", "_putters")
 
     def __init__(
         self, sim: Simulator, capacity: Optional[int] = None, name: str = ""
@@ -132,6 +135,8 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        self._put_name = f"put:{name}"
+        self._get_name = f"get:{name}"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Any, Event]] = deque()
@@ -155,7 +160,7 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Insert ``item``; the returned event triggers once inserted."""
-        ev = Event(self.sim, name=f"put:{self.name}")
+        ev = Event(self.sim, name=self._put_name)
         if self._getters:
             # Hand straight to the oldest waiting getter.
             getter = self._getters.popleft()
@@ -181,7 +186,7 @@ class Store:
 
     def get(self) -> Event:
         """Remove the oldest item; the event's value is the item."""
-        ev = Event(self.sim, name=f"get:{self.name}")
+        ev = Event(self.sim, name=self._get_name)
         if self._items:
             item = self._items.popleft()
             self._admit_putter()
@@ -218,11 +223,12 @@ class PriorityStore:
     the highest-priority pending item.
     """
 
-    __slots__ = ("sim", "name", "_heap", "_seq", "_getters")
+    __slots__ = ("sim", "name", "_get_name", "_heap", "_seq", "_getters")
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name
+        self._get_name = f"pget:{name}"
         self._heap: list[tuple[int, int, Any]] = []
         self._seq = 0
         self._getters: Deque[Event] = deque()
@@ -241,7 +247,7 @@ class PriorityStore:
 
     def get(self) -> Event:
         """Event yielding the highest-priority pending item."""
-        ev = Event(self.sim, name=f"pget:{self.name}")
+        ev = Event(self.sim, name=self._get_name)
         if self._heap:
             _prio, _seq, item = heapq.heappop(self._heap)
             ev.succeed(item)

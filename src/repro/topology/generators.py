@@ -259,6 +259,15 @@ def random_irregular(
     topo = Topology(name=f"irregular-{n_switches}-s{seed}")
     sw = [topo.add_switch(n_ports=ports_per_switch) for _ in range(n_switches)]
     budget = {s: switch_links for s in sw}
+    # Cabled switch pairs, kept here: asking the topology would rebuild
+    # its link index after every connect.
+    cabled: set[tuple[int, int]] = set()
+
+    def connect(a: int, b: int) -> None:
+        topo.connect(a, topo.free_port(a), b, topo.free_port(b), kind=kind)
+        budget[a] -= 1
+        budget[b] -= 1
+        cabled.add((a, b) if a < b else (b, a))
 
     # Random connected skeleton: attach each switch (in random order) to a
     # random already-attached switch.
@@ -273,30 +282,23 @@ def random_irregular(
                 "increase switch_links"
             )
         t = candidates[int(rng.integers(len(candidates)))]
-        topo.connect(s, topo.free_port(s), t, topo.free_port(t), kind=kind)
-        budget[s] -= 1
-        budget[t] -= 1
+        connect(s, t)
         attached.append(s)
 
     # Extra random cables between distinct switches with spare budget,
     # avoiding parallel duplicates.
-    def cabled(a: int, b: int) -> bool:
-        return bool(topo.links_between(a, b))
-
     for _ in range(4 * n_switches):
         avail = [s for s in sw if budget[s] > 0]
         pairs = [
             (a, b)
             for i, a in enumerate(avail)
             for b in avail[i + 1:]
-            if not cabled(a, b)
+            if (a, b) not in cabled
         ]
         if not pairs:
             break
         a, b = pairs[int(rng.integers(len(pairs)))]
-        topo.connect(a, topo.free_port(a), b, topo.free_port(b), kind=kind)
-        budget[a] -= 1
-        budget[b] -= 1
+        connect(a, b)
 
     for s in sw:
         for _ in range(hosts_per_switch):

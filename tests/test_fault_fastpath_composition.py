@@ -10,11 +10,15 @@ oracle with them off.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
 from repro.network.faults import FaultEvent, FaultPlan, install_fault_plan
 from repro.sim.engine import Timeout
+from tests.oracles import packet as oracle
 
 
 def _interswitch_links(net):
@@ -283,3 +287,88 @@ class TestFaultAdaptiveComposition:
             net.topo,
             [r for s in sorted(net.nics)
              for r in net.nics[s].route_table.entries.values()])
+
+
+def _memo_net():
+    from repro.topology.generators import random_irregular
+
+    cfg = NetworkConfig(
+        firmware="itb", routing="itb", reliable=True, seed=17,
+        timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
+    )
+    return build_network(random_irregular(8, seed=11, hosts_per_switch=2),
+                         config=cfg)
+
+
+def _itb_pair(net):
+    """The first (src, dst, route) whose route crosses an in-transit host
+    after an inter-switch cable."""
+    for src in sorted(net.nics):
+        table = net.nics[src].route_table
+        for dst in table.destinations():
+            route = table.lookup(dst)
+            if route.n_itbs and len(route.segments[0].switch_path) >= 2:
+                return src, dst, route
+    raise AssertionError("the fabric routes no pair via an in-transit host")
+
+
+def _send_one(net, src, dst):
+    """Hand one 64-byte packet to ``src``'s MCP and run until delivered."""
+    tp = net.nics[src].firmware.host_send(dst=dst, payload_len=64)
+    net.sim.run(until=net.sim.now + 100_000.0)
+    assert tp.t_deliver is not None
+    return tp
+
+
+class TestHeaderMemoScope:
+    """Route headers are memoized per route object: a remap or a
+    reselection installs new objects, so the next packet carries the new
+    route's bytes, and the memo never outlives its network."""
+
+    def test_linkdown_remap_sends_the_new_route(self):
+        net = _memo_net()
+        src, dst, route = _itb_pair(net)
+        before = _send_one(net, src, dst)
+        assert before.image.data == oracle.encode_packet(route, 64).data
+        hop = set(route.segments[0].switch_path[:2])
+        down = next(link.link_id for link in net.topo.links
+                    if {link.node_a, link.node_b} == hop)
+        plan = FaultPlan(events=(FaultEvent(
+            kind="link-down", target=down, at_ns=net.sim.now + 1_000.0),))
+        install_fault_plan(net, plan)
+        net.sim.run(until=net.sim.now + 100_000.0)  # past the remap
+        assert plan.remap_events == 1
+        new = net.nics[src].route_table.lookup(dst)
+        assert new != route
+        after = _send_one(net, src, dst)
+        assert after.route is new
+        assert after.image.data == oracle.encode_packet(new, 64).data
+        assert after.image.data != before.image.data
+
+    def test_reselection_sends_the_new_route(self):
+        from repro.gm.mapper import ItbReselector
+        from repro.routing.selectors import MapCongestionView, make_selector
+
+        net = _memo_net()
+        src, dst, route = _itb_pair(net)
+        before = _send_one(net, src, dst)
+        assert before.image.data == oracle.encode_packet(route, 64).data
+        view = MapCongestionView({route.itb_hosts[0]: 4096.0})
+        reselector = ItbReselector(net, make_selector("least-loaded",
+                                                      view=view))
+        assert reselector.reselect() > 0
+        new = net.nics[src].route_table.lookup(dst)
+        assert new.itb_hosts != route.itb_hosts
+        after = _send_one(net, src, dst)
+        assert after.route is new
+        assert after.image.data == oracle.encode_packet(new, 64).data
+        assert after.image.data != before.image.data
+
+    def test_memo_dies_with_the_network(self):
+        net = _memo_net()
+        src, dst, route = _itb_pair(net)
+        _send_one(net, src, dst)
+        ref = weakref.ref(route)
+        del net, route
+        gc.collect()
+        assert ref() is None

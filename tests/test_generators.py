@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,19 @@ class TestRandomIrregular:
         for s in topo.switches():
             fabric = len(topo.switch_neighbors(s))
             assert fabric <= 4
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        (16, 5, "74bacd5c4a6f92278d9e9c86a9b8dfab"
+                "dc52012aec54c1913e54a19abef07255"),
+        (128, 11, "79d2579c70ca0c213829fe57228337ec"
+                  "116b82787cad40291813cd891f715d7d"),
+    ])
+    def test_cabling_is_byte_stable(self, n, seed, digest):
+        """Goldens, route-cache signatures and the perf workloads' fabrics
+        rest on this generator's exact output, so its links are pinned."""
+        topo = random_irregular(n, seed=seed, hosts_per_switch=2)
+        links = repr([l.endpoints() for l in topo.links]).encode()
+        assert hashlib.sha256(links).hexdigest() == digest
 
     def test_no_parallel_fabric_cables(self):
         topo = random_irregular(12, seed=9)

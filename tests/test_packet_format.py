@@ -13,12 +13,14 @@ from repro.mcp.packet_format import (
     TYPE_IP,
     TYPE_ITB,
     TYPE_LEN,
+    TYPE_MAPPING,
     PacketFormatError,
     PacketImage,
     decode_header,
     encode_packet,
 )
 from repro.routing.routes import ItbRoute, SourceRoute
+from tests.oracles import packet as oracle
 
 
 def plain_route(n_ports: int = 3) -> SourceRoute:
@@ -229,3 +231,79 @@ def test_roundtrip_property_itb(seg_lens, payload):
             assert remaining == seg_lens[i + 1]
     assert img.leading_type() == TYPE_GM
     assert img.payload() == payload
+
+
+def _route_from(seg_ports) -> ItbRoute:
+    """An ITB route whose segments carry the given port tuples."""
+    return ItbRoute(tuple(
+        SourceRoute(src=i, dst=i + 1, ports=ports,
+                    switch_path=tuple(range(len(ports))))
+        for i, ports in enumerate(seg_ports)))
+
+
+def _same_image(got: PacketImage, want: PacketImage) -> bool:
+    return (got.data, got.offset, got.payload_len) == (
+        want.data, want.offset, want.payload_len)
+
+
+_SEGMENTS = st.lists(st.integers(0, 63), min_size=1, max_size=6).map(tuple)
+
+
+@given(
+    seg_ports=st.lists(_SEGMENTS, min_size=1, max_size=4),
+    final_type=st.sampled_from([TYPE_GM, TYPE_MAPPING, TYPE_IP]),
+    length=st.integers(min_value=0, max_value=4096),
+    blob=st.binary(min_size=1, max_size=300).map(
+        lambda b: b if any(b) else b[:-1] + b"\x01"),
+    flip=st.integers(min_value=0),
+)
+@settings(max_examples=80)
+def test_encode_matches_reference_encoder(seg_ports, final_type, length,
+                                          blob, flip):
+    """The memoized header and the folded CRC reproduce the byte-at-a-time
+    reference image, on the first encode of a route object and on a
+    second one (a memo hit), for length-only and non-zero payloads."""
+    route = _route_from(seg_ports)
+    for payload in (length, blob):
+        want = oracle.encode_packet(route, payload, final_type=final_type)
+        for _ in range(2):
+            got = encode_packet(route, payload, final_type=final_type)
+            assert _same_image(got, want)
+            assert got.crc_ok()
+    # One flipped payload byte still fails the CRC.
+    img = encode_packet(route, blob, final_type=final_type)
+    data = bytearray(img.data)
+    data[len(data) - CRC_LEN - len(blob) + flip % len(blob)] ^= 0x5A
+    assert not PacketImage(bytes(data), payload_len=len(blob)).crc_ok()
+
+
+@given(
+    seg_ports=st.lists(_SEGMENTS, min_size=1, max_size=4),
+    bad_seg=st.integers(min_value=0),
+    bad_port=st.integers(min_value=64, max_value=255),
+)
+@settings(max_examples=40)
+def test_unencodable_routes_still_raise(seg_ports, bad_seg, bad_port):
+    """A port >= 64 in any segment raises PacketFormatError on every
+    encode of the route object: a failed encode is never memoized."""
+    bad = list(seg_ports)
+    i = bad_seg % len(bad)
+    bad[i] = bad[i] + (bad_port,)
+    route = _route_from(bad)
+    for _ in range(2):
+        with pytest.raises(PacketFormatError):
+            encode_packet(route, 8)
+        with pytest.raises(PacketFormatError):
+            oracle.encode_packet(route, 8)
+
+
+def test_sub_path_length_limit():
+    """A non-first sub-path over 255 switches overflows its length byte
+    and raises on every encode; the first sub-path has no length byte."""
+    too_long = _route_from([(0,), (1,) * 256])
+    for _ in range(2):
+        with pytest.raises(PacketFormatError):
+            encode_packet(too_long, 8)
+    long_first = _route_from([(1,) * 256, (2,) * 255])
+    assert _same_image(encode_packet(long_first, 8),
+                       oracle.encode_packet(long_first, 8))

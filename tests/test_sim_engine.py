@@ -288,3 +288,130 @@ class TestRunUntilEvent:
         sim.schedule(1, lambda: ev.fail(ValueError("bad")))
         with pytest.raises(ValueError):
             sim.run_until_event(ev)
+
+
+class _DispatchRecorder:
+    """Stand-in profiler recording each dispatched callback's module."""
+
+    def __init__(self) -> None:
+        self.modules: list = []
+
+    def attribute(self, _name: str) -> None:
+        pass
+
+    def dispatch(self, callback) -> None:
+        self.modules.append(getattr(callback, "__module__", None))
+        callback()
+
+
+class TestProcessLifecycle:
+    """Done-events exist only on demand; joins behave as if they always
+    did."""
+
+    def test_alive_and_done_event_before_and_after_the_end(self, sim):
+        def child():
+            yield Timeout(2)
+            return "r"
+
+        watched = sim.process(child())
+        unwatched = sim.process(child())
+        assert watched.alive and unwatched.alive
+        done = watched.done_event  # read while running
+        assert not done.triggered
+        sim.run()
+        for p in (watched, unwatched):
+            assert not p.alive and p.returned == "r"
+        assert watched.done_event is done and done.ok and done.value == "r"
+        # First read after the end: created already triggered.
+        late = unwatched.done_event
+        assert late.triggered and late.ok and late.value == "r"
+
+    def test_join_finished_and_running_processes(self, sim):
+        def child(delay, value):
+            yield Timeout(delay)
+            return value
+
+        quick = sim.process(child(1, "quick"))
+        slow = sim.process(child(5, "slow"))
+        got = []
+
+        def parent():
+            yield Timeout(3)
+            for target in (quick, slow):  # ended at t=1; still running
+                value = yield target
+                got.append((sim.now, value))
+
+        sim.process(parent())
+        sim.run()
+        assert got == [(3.0, "quick"), (5.0, "slow")]
+
+    def test_join_crashed_process_raises_in_the_joiner(self, sim):
+        def bad(delay):
+            yield Timeout(delay)
+            raise ValueError(f"bug@{delay}")
+
+        seen = []
+
+        def joiner(target):
+            try:
+                yield target
+            except ValueError as err:
+                seen.append((sim.now, str(err)))
+
+        early = sim.process(bad(1))  # joined only after it crashed
+        late = sim.process(bad(2))  # joined while it runs
+        sim.process(joiner(late))
+        for _ in range(2):
+            with pytest.raises(SimulationError, match="bug@"):
+                sim.run()
+            # A crash stops the run; drop the record so the queued
+            # joiner wake-ups can be observed.
+            sim._crashed.clear()
+        assert not early.alive and not late.alive
+        sim.process(joiner(early))
+        sim.run()
+        assert seen == [(2.0, "bug@2"), (2.0, "bug@1")]
+        assert early.done_event.triggered and not early.done_event.ok
+
+    def test_done_event_callbacks_fire(self, sim):
+        """The path ``gm/collectives.py`` counts completions through."""
+        def child(delay):
+            yield Timeout(delay)
+            return delay
+
+        procs = [sim.process(child(d)) for d in (1, 4)]
+        fired = []
+
+        def on_done(ev):
+            fired.append((sim.now, ev.value))
+
+        for p in procs:
+            p.done_event.add_callback(on_done)
+        sim.run()
+        procs[0].done_event.add_callback(on_done)  # after the end
+        sim.run()
+        assert fired == [(1.0, 1), (4.0, 4), (4.0, 1)]
+
+    def test_engine_enqueued_callbacks_are_defined_in_the_engine(self, sim):
+        """Process start, timeout resume and event fan-out enqueue
+        callables defined in repro.sim.engine: the perf benchmark charges
+        a bare callback to its defining module, and a functools.partial
+        would move that time to no layer at all."""
+        ev = sim.event()
+
+        def waiter():
+            yield ev
+            yield Timeout(3)
+
+        def trigger():
+            yield Timeout(1)
+            ev.succeed()
+
+        recorder = _DispatchRecorder()
+        sim.profiler = recorder
+        sim.process(waiter())
+        sim.process(trigger())
+        sim.run()
+        # Two starts, one fan-out, two timeout resumes.
+        assert len(recorder.modules) == 5
+        assert set(recorder.modules) == {"repro.sim.engine"}

@@ -297,63 +297,7 @@ def test_bench_end_to_end_pingpong(benchmark):
     assert mean > 0
 
 
-# -- partitioned engine and claim horizon -----------------------------------
-
-_STORM_POINT = dict(
-    n_switches=16, n_parts=4, hosts_per_switch=3, packet_size=1024,
-    rate=0.25, duration_ns=300_000.0, cross_fraction=0.15,
-    trunk_length_m=400.0, seed=7,
-)
-
-
-def _storm(jobs: int):
-    from repro.harness.storm import run_storm
-
-    return run_storm(**_STORM_POINT, engine_jobs=jobs)
-
-
-def test_bench_partition_speedup(benchmark, bench_headline):
-    """The partitioned-core guard: a 16-switch storm split into 4
-    partitions must run at least 1.8x faster wall-clock with 4 worker
-    processes than inline — with byte-identical summaries (the
-    determinism contract holds at every worker count).
-
-    The wall-clock gate needs real parallel hardware; on fewer than 4
-    usable cores the determinism half still runs and the ratio is
-    recorded, but the floor assertion is skipped (a time-sliced
-    single-core box measures scheduler overhead, not the engine).
-    """
-    import os
-
-    import pytest
-
-    cores = len(os.sched_getaffinity(0))
-
-    serial = benchmark(lambda: _storm(1))
-    forked = _storm(4)
-    assert forked.execution["mode"] == "forked"
-    assert serial.summary() == forked.summary()
-
-    inline_s = _best_of(lambda: _storm(1), repeats=2)
-    forked_s = _best_of(lambda: _storm(4), repeats=2)
-    ratio = inline_s / forked_s
-    bench_headline["inline_s"] = round(inline_s, 6)
-    bench_headline["forked_s"] = round(forked_s, 6)
-    bench_headline["cores"] = cores
-    bench_headline["windows"] = serial.engine["windows"]
-    if cores < 4:
-        # A time-sliced ratio is not the number the baseline floors;
-        # record it under a different key and flag the skipped gate so
-        # ``repro bench-report --baseline`` waives this test.
-        bench_headline["measured_ratio"] = round(ratio, 3)
-        bench_headline["gate_skipped"] = f"needs >= 4 cores, have {cores}"
-        pytest.skip(f"wall-clock gate needs >= 4 cores, have {cores}"
-                    f" (measured {ratio:.2f}x; determinism verified)")
-    bench_headline["speedup_ratio"] = round(ratio, 3)
-    assert ratio >= 1.8, (
-        f"partitioned engine only {ratio:.2f}x over inline at 4 workers"
-        f" (inline {inline_s * 1e3:.0f} ms, forked {forked_s * 1e3:.0f} ms)"
-    )
+# -- claim horizon ----------------------------------------------------------
 
 
 def _horizon_run(horizon: bool):

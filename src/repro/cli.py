@@ -55,6 +55,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tolerance``: a fraction in [0, 1).
+
+    At 1 or above every baseline floor would be zero or negative and
+    the regression gate could never fail.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
 def _sizes(args) -> tuple[int, ...]:
     if args.full:
         return DEFAULT_SIZES
@@ -73,13 +88,6 @@ def _make_experiment_command(exp: Experiment):
         from repro.exp import Runner
 
         spec = exp.spec_from_args(args)
-        if args.engine_jobs != 1:
-            # Partition-aware experiments read this through
-            # ctx.engine_jobs; everything else ignores it.  Results
-            # are independent of the value by the determinism
-            # contract (docs/PARALLEL.md).
-            spec = spec.replace(
-                params={**spec.params, "engine_jobs": args.engine_jobs})
         report = Runner().run(spec, jobs=args.jobs,
                               save=args.save or None)
         print(exp.render(spec, report.result, args))
@@ -107,10 +115,6 @@ def _add_experiment_arguments(p: argparse.ArgumentParser,
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="process-pool width for independent points"
                         " (results are identical to --jobs 1)")
-    p.add_argument("--engine-jobs", type=_positive_int, default=1,
-                   help="worker processes of the partitioned simulation"
-                        " engine, for partition-aware experiments"
-                        " (results are identical to --engine-jobs 1)")
     p.add_argument("--save", type=str, default="",
                    help="persist the result document to this JSON file")
     p.set_defaults(func=_make_experiment_command(exp))
@@ -433,13 +437,10 @@ def _cmd_bench_report(args) -> int:
 
     rows = []
     ratios: dict[str, dict[str, float]] = {}
-    skipped: dict[str, dict[str, str]] = {}
     for path in files:
         doc = json.loads(path.read_text())
         group = doc.get("group", path.stem.removeprefix("BENCH_"))
         for test, rec in sorted(doc.get("records", {}).items()):
-            if rec.get("gate_skipped"):
-                skipped.setdefault(group, {})[test] = rec["gate_skipped"]
             mean = rec.get("mean_s")
             ratio = rec.get("speedup_ratio")
             rows.append((
@@ -463,11 +464,6 @@ def _cmd_bench_report(args) -> int:
         for test, expected in tests.items():
             floor = expected * (1.0 - args.tolerance)
             measured = ratios.get(group, {}).get(test)
-            reason = skipped.get(group, {}).get(test)
-            if measured is None and reason is not None:
-                print(f"bench-report: {group}:{test} gate skipped"
-                      f" ({reason})")
-                continue
             if measured is None:
                 failures.append(f"{group}:{test}: no measured speedup ratio")
             elif measured < floor:
@@ -649,8 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", type=str, default="",
                    help="JSON file of group -> test -> expected speedup"
                         " ratio; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="allowed fractional regression vs baseline")
+    p.add_argument("--tolerance", type=_tolerance, default=0.25,
+                   help="allowed fractional regression vs baseline,"
+                        " in [0, 1)")
     p.set_defaults(func=_cmd_bench_report)
 
     p = sub.add_parser("discover", help="run the mapper's exploration")

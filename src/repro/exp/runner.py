@@ -27,14 +27,15 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.builder import BuiltNetwork, build_network
 from repro.exp.registry import Experiment, get_experiment
 from repro.exp.spec import ExperimentSpec
 from repro.routing.cache import RouteCache, default_route_cache
 
-__all__ = ["PointContext", "Runner", "RunReport", "run_experiment"]
+__all__ = ["PointContext", "Runner", "RunReport", "fork_map",
+           "run_experiment"]
 
 
 class PointContext:
@@ -54,16 +55,6 @@ class PointContext:
         self.observations: list[dict] = []
         self._instrumented: list = []
         self._fabrics: list = []
-
-    @property
-    def engine_jobs(self) -> int:
-        """Worker count for the partitioned simulation engine.
-
-        Threaded from ``--engine-jobs`` via ``spec.params``; results
-        never depend on it (``docs/PARALLEL.md``), so only
-        partition-aware experiments bother reading it.
-        """
-        return int(self.spec.params.get("engine_jobs", 1))
 
     def build(self, topo: Any = None, **kwargs: Any) -> BuiltNetwork:
         """Build a network for this point through the single shared path."""
@@ -134,6 +125,27 @@ class RunReport:
     saved_to: Optional[str] = None
 
 
+def fork_map(fn: Callable[[Any], Any], items: Sequence[Any],
+             jobs: int) -> list:
+    """``[fn(item) for item in items]`` over a pool of forked workers.
+
+    The package's one process pool: :class:`Runner` and
+    :func:`repro.harness.sweep.sweep` both fan out through it.  Workers
+    are forked, so they inherit the parent's module state (the warmed
+    route cache, the experiment registry) copy-on-write; ``fn`` must be
+    a module-level function and every item and result must pickle.
+    ``pool.map`` returns results in input order, so callers merge by
+    index, never by completion.  Runs serially in this process with
+    ``jobs == 1``, a single item, or no ``fork`` start method.
+    """
+    if (jobs < 2 or len(items) < 2
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(item) for item in items]
+    with multiprocessing.get_context("fork").Pool(
+            processes=min(jobs, len(items))) as pool:
+        return pool.map(fn, items)
+
+
 # Module-level worker state, inherited by forked pool workers (shared
 # synchronization primitives cannot be passed through Pool arguments).
 _worker_cache: Optional[RouteCache] = None
@@ -197,10 +209,12 @@ class Runner:
         self._warm_routes(exp, spec)
         payloads = [(spec, i, p) for i, p in enumerate(points)]
 
-        if jobs > 1 and len(points) > 1:
-            outcomes = self._run_parallel(payloads, jobs)
-        else:
-            outcomes = [_measure_point_with(self.cache, p) for p in payloads]
+        global _worker_cache
+        _worker_cache = self.cache
+        try:
+            outcomes = fork_map(_measure_point, payloads, jobs)
+        finally:
+            _worker_cache = None
 
         # Deterministic merge: results ordered by point index.
         outcomes.sort(key=lambda item: item[0])
@@ -242,30 +256,6 @@ class Runner:
     def _warm_routes(self, exp: Experiment, spec: ExperimentSpec) -> None:
         for topo, routing, root in exp.route_requirements(spec):
             self.cache.warm(topo, routing, root=root)
-
-    def _run_parallel(self, payloads: list, jobs: int) -> list:
-        global _worker_cache
-        try:
-            mp = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platform
-            return [_measure_point_with(self.cache, p) for p in payloads]
-        _worker_cache = self.cache
-        try:
-            with mp.Pool(processes=min(jobs, len(payloads))) as pool:
-                return pool.map(_measure_point, payloads)
-        finally:
-            _worker_cache = None
-
-
-def _measure_point_with(cache: Optional[RouteCache],
-                        payload: tuple) -> tuple[int, Any, list, dict, list]:
-    """Serial-path helper: run ``_measure_point`` with a bound cache."""
-    global _worker_cache
-    _worker_cache = cache
-    try:
-        return _measure_point(payload)
-    finally:
-        _worker_cache = None
 
 
 def run_experiment(

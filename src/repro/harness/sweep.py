@@ -12,7 +12,6 @@ so parallel and serial sweeps tabulate identically.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -96,21 +95,6 @@ def _evaluate_payload(payload: tuple) -> SweepPoint:
     return _evaluate(fn, params, fixed, isolate_errors)
 
 
-def _sweep_parallel(fn: Callable[..., Any], combos: list[dict],
-                    fixed: dict, isolate_errors: bool,
-                    jobs: int) -> list[SweepPoint]:
-    """Fan combos over a fork pool; order-preserving, serial fallback."""
-    try:
-        mp = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platform
-        return [_evaluate(fn, params, fixed, isolate_errors)
-                for params in combos]
-    payloads = [(fn, params, fixed, isolate_errors) for params in combos]
-    with mp.Pool(processes=min(jobs, len(payloads))) as pool:
-        # pool.map preserves input order: merge is by point index.
-        return pool.map(_evaluate_payload, payloads)
-
-
 def sweep(
     fn: Callable[..., Any],
     axes: Mapping[str, Sequence[Any]],
@@ -156,9 +140,13 @@ def sweep(
     names = list(axes)
     combos = [dict(zip(names, combo))
               for combo in itertools.product(*(axes[k] for k in names))]
-    if jobs > 1 and len(combos) > 1:
-        for point in _sweep_parallel(fn, combos, fixed,
-                                     isolate_errors, jobs):
+    if jobs > 1:
+        # The experiment runner's fork pool; its map keeps input order,
+        # so the merge is by point index.
+        from repro.exp.runner import fork_map
+
+        payloads = [(fn, params, fixed, isolate_errors) for params in combos]
+        for point in fork_map(_evaluate_payload, payloads, jobs):
             result.points.append(point)
             if on_point is not None:
                 on_point(point)

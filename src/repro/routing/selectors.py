@@ -29,9 +29,10 @@ asserts exactly that.
 **Determinism across fork-pool workers.**  Stateless policies decide
 from global identifiers only; the ``random`` policy draws from a
 globally-keyed RNG stream ``SeedSequence(entropy=seed, spawn_key=
-(switch, src, dst, epoch))`` — the :mod:`repro.harness.storm` pattern —
-so the decision for a pair is a pure function of the key, independent
-of worker count, call order, or which pairs were selected before it.
+(switch, src, dst, epoch))`` — the rule ``docs/EXPERIMENT_PIPELINE.md``
+(§ Determinism) sets for every RNG stream — so the decision for a pair
+is a pure function of the key, independent of worker count, call
+order, or which pairs were selected before it.
 """
 
 from __future__ import annotations
@@ -233,8 +234,8 @@ class RandomSelector(Selector):
     ``SeedSequence(entropy=seed, spawn_key=(switch, src, dst, epoch))``
     — so the decision for a pair is a pure function of the key:
     identical across fork-pool workers and independent of how many
-    other pairs were selected first (the :mod:`repro.harness.storm`
-    determinism pattern).
+    other pairs were selected first (the globally-keyed stream rule of
+    ``docs/EXPERIMENT_PIPELINE.md``, § Determinism).
     """
 
     name = "random"

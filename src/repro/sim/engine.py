@@ -641,43 +641,6 @@ class Simulator:
             raise event._exc
         return event.value
 
-    # -- partition-scheduler hooks --------------------------------------
-
-    def next_time(self) -> Optional[float]:
-        """Timestamp of the earliest pending callback, or None.
-
-        The partitioned engine (:mod:`repro.sim.partition`) uses this
-        to compute the global lower bound of the next synchronization
-        window.  Immediate-lane entries sit at the current time by
-        construction.
-        """
-        if self._immediate:
-            return self._now
-        if self._queue:
-            return self._queue[0][0]
-        return None
-
-    def run_window(self, t_end: float,
-                   max_events: int = 50_000_000) -> Optional[float]:
-        """Dispatch every pending callback strictly before ``t_end``.
-
-        Unlike :meth:`run` (whose ``until`` is inclusive), events at
-        exactly ``t_end`` stay queued and the clock is *not* advanced
-        past the last dispatched event — so a cross-partition message
-        delivered at ``t_end`` or later still lands ahead of every
-        undispatched local callback, preserving the global
-        ``(time, priority, seq)`` order.  Returns :meth:`next_time`
-        after the window drains.
-        """
-        while True:
-            nt = self.next_time()
-            if nt is None or nt >= t_end:
-                return nt
-            # Inclusive drain to the next timestamp settles that whole
-            # instant (including any same-time work it spawns) before
-            # the strict bound is re-checked.
-            self._drain(nt, max_events, None)
-
     # -- crash bookkeeping ----------------------------------------------
 
     def _record_crash(self, proc: Process, exc: BaseException) -> None:

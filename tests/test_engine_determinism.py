@@ -88,10 +88,12 @@ _OP = st.tuples(
 
 class TestLaneInterleaving:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_OP, max_size=24))
-    def test_matches_single_heap_oracle(self, ops):
+    @given(st.lists(_OP, max_size=24), st.booleans())
+    def test_matches_single_heap_oracle(self, ops, absolute):
         """Immediate-lane and heap events at equal times interleave in
-        FIFO ``seq`` order, exactly as one global calendar would."""
+        FIFO ``seq`` order, exactly as one global calendar would —
+        whether children are scheduled relative to now (``schedule``)
+        or at an absolute time (``schedule_at``)."""
         sim = Simulator()
         fired = []
 
@@ -101,8 +103,13 @@ class TestLaneInterleaving:
         def fire_top(i):
             fired.append(("top", i))
             for j, (kdelay, kprio) in enumerate(ops[i][2]):
-                sim.schedule(kdelay, lambda i=i, j=j: fire_kid(i, j),
-                             priority=kprio)
+                if absolute:
+                    sim.schedule_at(sim.now + kdelay,
+                                    lambda i=i, j=j: fire_kid(i, j),
+                                    priority=kprio)
+                else:
+                    sim.schedule(kdelay, lambda i=i, j=j: fire_kid(i, j),
+                                 priority=kprio)
 
         for i, (delay, prio, _kids) in enumerate(ops):
             sim.schedule(delay, lambda i=i: fire_top(i), priority=prio)

@@ -37,6 +37,13 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
 
+    def test_schedule_at_in_the_past_rejected(self, sim):
+        sim.schedule(5, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.schedule_at(4.0, lambda: None)
+        assert sim.pending == 0
+
     def test_run_until_stops_clock(self, sim):
         fired = []
         sim.schedule(100, lambda: fired.append(1))
@@ -60,6 +67,29 @@ class TestScheduling:
         sim.schedule(5, lambda: fired.append("high"), priority=0)
         sim.run()
         assert fired == ["high", "low"]
+
+    def test_schedule_at_ranks_after_preexisting_same_instant_event(self, sim):
+        """An absolute-time entry for T made later ranks after one already
+        in the calendar at T: ``(time, priority, seq)`` order, the later
+        entry holding the larger seq — also when made at T itself."""
+        fired = []
+        sim.schedule_at(5.0, lambda: fired.append(("local", sim.now)))
+        sim.schedule_at(0.0, lambda: sim.schedule_at(
+            5.0, lambda: fired.append(("late", sim.now))))
+        sim.schedule_at(5.0, lambda: sim.schedule_at(
+            sim.now, lambda: fired.append(("same-instant", sim.now))))
+        sim.run()
+        assert fired == [("local", 5.0), ("late", 5.0),
+                         ("same-instant", 5.0)]
+
+    def test_schedule_at_priority_breaks_same_instant_ties(self, sim):
+        """A negative-priority ``schedule_at`` entry at T outranks a
+        default-priority entry at T that entered the calendar first."""
+        fired = []
+        sim.schedule_at(5.0, lambda: fired.append("local"))
+        sim.schedule_at(5.0, lambda: fired.append("urgent"), priority=-1)
+        sim.run()
+        assert fired == ["urgent", "local"]
 
 
 class TestEvents:
@@ -136,6 +166,29 @@ class TestProcesses:
         sim.process(proc())
         sim.run()
         assert times == [5.0, 12.5]
+
+    def test_process_now_steps_inside_the_calling_callback(self, sim):
+        """``process_now`` called from a callback at T runs the first
+        step before it returns — ahead of a ``schedule(0.0, ...)`` the
+        callback makes afterwards — and the process's ``Timeout(1.0)``
+        resumes at T+1.  The express worm lane's demoted-tail resume
+        relies on this."""
+        log = []
+
+        def proc():
+            log.append(("step", sim.now))
+            yield Timeout(1.0)
+            log.append(("resumed", sim.now))
+
+        def callback():
+            sim.process_now(proc())
+            log.append(("returned", sim.now))
+            sim.schedule(0.0, lambda: log.append(("after", sim.now)))
+
+        sim.schedule(5.0, callback)
+        sim.run()
+        assert log == [("step", 5.0), ("returned", 5.0), ("after", 5.0),
+                       ("resumed", 6.0)]
 
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,10 @@
 The scale-study tentpole: one phase-aware BFS tree per source switch
 replaces a BFS per host pair, and the ITB router legalizes from
 per-source Dijkstra trees instead of per-pair searches.  The per-pair
-code paths are preserved as oracles (``all_pairs_pairwise``), so the
-guard can assert both the speedup *and* bit-identical routes on every
-run — the batched trees are proven, not trusted.
+code paths are kept as test oracles (``all_pairs_pairwise`` in
+``tests/oracles/``), so the guard can assert both the speedup *and*
+bit-identical routes on every run — the batched trees are proven, not
+trusted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from repro.routing.itb import ItbRouter
 from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import random_irregular_scaled
+from tests.oracles import itb as itb_oracle
+from tests.oracles import updown as updown_oracle
 
 #: The 128-switch irregular fabric of the scale study's middle rung.
 _N_SWITCHES = 128
@@ -42,7 +45,7 @@ def test_bench_allpairs_build(benchmark, bench_headline):
     fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    oracle = UpDownRouter(topo, orientation).all_pairs_pairwise()
+    oracle = updown_oracle.all_pairs_pairwise(UpDownRouter(topo, orientation))
     slow = time.perf_counter() - t0
 
     assert list(fast_routes) == list(oracle)  # same insertion order
@@ -83,7 +86,7 @@ def test_bench_itb_allpairs_build(benchmark, bench_headline):
     fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    oracle = ItbRouter(topo, orientation).all_pairs_pairwise()
+    oracle = itb_oracle.all_pairs_pairwise(ItbRouter(topo, orientation))
     slow = time.perf_counter() - t0
 
     assert list(fast_routes) == list(oracle)

@@ -241,7 +241,10 @@ class ItbReselector:
     selector once per cut, looks the choice up in the memo (stamping
     only on a miss), and compares the result with the installed route by
     identity before equality.  The pair list is rebuilt after a remap
-    changed the tables.
+    changed the tables.  The selector is called through its
+    :meth:`~repro.routing.selectors.Selector.pass_policy`, so a
+    switch-keyed policy (``static``, ``least-loaded``) reads each cut
+    switch's loads once per pass, however many pairs cut there.
 
     Fault integration: a fault remap (:func:`remap_tables`) resolves
     this reselector from ``fabric.meta`` and routes through its
@@ -406,8 +409,9 @@ class ItbReselector:
         topo = self.net.topo
         stamp = self._router.stamp
         changed = 0
+        decide = selector.pass_policy()
         for src, dst, table, template, cuts, memo in self._pairs:
-            hosts = tuple([selector(topo, cut, src, dst) for cut in cuts])
+            hosts = tuple([decide(topo, cut, src, dst) for cut in cuts])
             route = memo.get(hosts)
             if route is None:
                 route = memo[hosts] = stamp(src, dst, template, hosts)

@@ -259,8 +259,8 @@ class ItbRouter:
         """ITB routes for every ordered host pair (the mapper's job).
 
         Batched over shared switch-pair templates and per-source trees;
-        byte-identical to :meth:`all_pairs_pairwise` including the
-        host-policy call order.
+        host_policy is called once per cut of every pair, in (source,
+        destination) order.
         """
         hosts = self.topo.hosts()
         out: dict[tuple[int, int], ItbRoute] = {}
@@ -274,48 +274,6 @@ class ItbRouter:
     def itb_all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """Uniform batch interface shared by every router kind."""
         return self.all_pairs()
-
-    def all_pairs_pairwise(self) -> dict[tuple[int, int], ItbRoute]:
-        """Legacy per-pair construction — the preserved test oracle."""
-        hosts = self.topo.hosts()
-        return {
-            (s, d): self.itb_route_pairwise(s, d)
-            for s in hosts
-            for d in hosts
-            if s != d
-        }
-
-    def itb_route_pairwise(self, src_host: int, dst_host: int) -> ItbRoute:
-        """Per-pair ITB route with no shared state — the legacy path.
-
-        Re-runs path enumeration and the legalization search for every
-        pair (no template memo, no source trees); used as the oracle that
-        the batched construction must match byte for byte.
-        """
-        topo = self.topo
-        if src_host == dst_host:
-            raise RouteError("source and destination host are the same")
-        s_src, s_dst = topo.switch_of(src_host), topo.switch_of(dst_host)
-
-        best: Optional[tuple[int, list[int], list[int]]] = None
-        for path in all_shortest_switch_paths(topo, s_src, s_dst,
-                                              limit=self.max_paths):
-            splits = self.split_points(path)
-            if not all(topo.hosts_on(path[i]) for i in splits):
-                continue
-            if best is None or len(splits) < best[0]:
-                best = (len(splits), path, splits)
-            if best[0] == 0:
-                break
-        found: Optional[tuple[list[int], list[int]]] = None
-        if best is not None:
-            found = best[1], best[2]
-        elif self.allow_longer:
-            found = self._shortest_legalizable_pairwise(s_src, s_dst)
-        if found is not None:
-            return self._route(src_host, dst_host, self._make_template(*found))
-
-        return ItbRoute((self._updown.route_pairwise(src_host, dst_host),))
 
     # ------------------------------------------------------------------
     # internals
@@ -390,7 +348,8 @@ class ItbRouter:
         and relaxation is strictly ``<``, so every predecessor on a
         goal's parent chain is finalized before the goal pops — the
         reconstructed (path, splits) is byte-identical to the early-exit
-        per-pair search for every destination at once.
+        per-pair search (kept as a test oracle in ``tests/oracles/itb.py``)
+        for every destination at once.
         """
         cached = self._legal_trees.get(s_src)
         if cached is not None:
@@ -446,73 +405,6 @@ class ItbRouter:
             return None
         start = (s_src, 0)
         rev_states: list[tuple[tuple[int, int], bool]] = []
-        while state != start:
-            prev, was_reset = parent[state]
-            rev_states.append((state, was_reset))
-            state = prev
-        path = [s_src]
-        splits: list[int] = []
-        for (st, was_reset) in reversed(rev_states):
-            if was_reset:
-                splits.append(len(path) - 1)
-            else:
-                path.append(st[0])
-        return path, splits
-
-    def _shortest_legalizable_pairwise(
-        self, s_src: int, s_dst: int
-    ) -> Optional[tuple[list[int], list[int]]]:
-        """BFS over (switch, direction-phase) with host-reset transitions.
-
-        State space: ``(switch, phase)`` where phase 0 = may still go
-        UP, 1 = DOWN taken.  At any switch with a host, the phase may
-        reset to 0 at the cost of one ITB; we search by (hops, itbs)
-        lexicographic cost with a Dijkstra-like expansion, giving the
-        shortest path legalizable with ITBs of any (possibly
-        super-minimal) length.  Preserved legacy per-pair search — the
-        oracle for the batched tree.
-        """
-        import heapq
-
-        topo, orient = self.topo, self.orientation
-        start = (s_src, 0)
-        # cost = (hops, itbs); parent map reconstructs path and splits
-        dist: dict[tuple[int, int], tuple[int, int]] = {start: (0, 0)}
-        parent: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
-        heap: list[tuple[int, int, tuple[int, int]]] = [(0, 0, start)]
-        goal: Optional[tuple[int, int]] = None
-        while heap:
-            hops, itbs, state = heapq.heappop(heap)
-            if dist.get(state, (1 << 30, 1 << 30)) < (hops, itbs):
-                continue
-            u, phase = state
-            if u == s_dst:
-                goal = state
-                break
-            # ITB reset (no hop cost, +1 itb) when the switch has a host.
-            if phase == 1 and topo.hosts_on(u):
-                nstate = (u, 0)
-                ncost = (hops, itbs + 1)
-                if ncost < dist.get(nstate, (1 << 30, 1 << 30)):
-                    dist[nstate] = ncost
-                    parent[nstate] = (state, True)
-                    heapq.heappush(heap, (hops, itbs + 1, nstate))
-            for _port, v, link in topo.switch_neighbors(u):
-                d = orient.direction(link.link_id, u, v)
-                if phase == 1 and d is Direction.UP:
-                    continue
-                nphase = 1 if d is Direction.DOWN else phase
-                nstate = (v, nphase)
-                ncost = (hops + 1, itbs)
-                if ncost < dist.get(nstate, (1 << 30, 1 << 30)):
-                    dist[nstate] = ncost
-                    parent[nstate] = (state, False)
-                    heapq.heappush(heap, (hops + 1, itbs, nstate))
-        if goal is None:
-            return None
-        # Reconstruct switch path and split indices.
-        rev_states: list[tuple[tuple[int, int], bool]] = []
-        state = goal
         while state != start:
             prev, was_reset = parent[state]
             rev_states.append((state, was_reset))

@@ -41,6 +41,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro.routing.itb import HostPolicy
 from repro.routing.routes import RouteError
 from repro.topology.graph import Topology
 
@@ -117,6 +118,10 @@ class Selector:
     """
 
     name = "base"
+    #: True when a decision depends only on the switch and its
+    #: candidates' loads, never on src, dst, epoch or earlier calls:
+    #: :meth:`pass_policy` may then decide each switch once per pass.
+    switch_keyed = False
 
     def __init__(self, view: Optional[CongestionView] = None) -> None:
         self.view = view
@@ -128,6 +133,34 @@ class Selector:
         """Start a new reselection round; returns the new epoch."""
         self.epoch += 1
         return self.epoch
+
+    def pass_policy(self) -> HostPolicy:
+        """The host policy for one reselection pass, called once per cut.
+
+        Loads cannot change inside a pass.  A :attr:`switch_keyed`
+        selector therefore returns a policy that decides each switch
+        once and answers every later cut there from a memo, still
+        counting one decision (and engagement) per cut; any other
+        selector returns itself.  The memo lives in the returned
+        function alone and ends with the pass, so nothing outside it
+        (mapper builds, fault remaps, direct calls) ever sees it.
+        """
+        if not self.switch_keyed:
+            return self
+        memo: dict[int, tuple[int, int]] = {}
+
+        def decide(topo: Topology, switch: int, src: int, dst: int) -> int:
+            hit = memo.get(switch)
+            if hit is not None:
+                self.decisions += 1
+                self.engaged += hit[1]
+                return hit[0]
+            engaged = self.engaged
+            chosen = self(topo, switch, src, dst)
+            memo[switch] = (chosen, self.engaged - engaged)
+            return chosen
+
+        return decide
 
     # -- policy hooks ------------------------------------------------------
 
@@ -175,6 +208,7 @@ class StaticSelector(Selector):
     """The paper's placement: lowest-id host, load ignored."""
 
     name = "static"
+    switch_keyed = True
 
     def choose(self, topo, switch, src, dst, candidates, loads):
         """Always the lowest-id candidate."""
@@ -189,6 +223,7 @@ class LeastLoadedSelector(Selector):
     """
 
     name = "least-loaded"
+    switch_keyed = True
 
     def choose(self, topo, switch, src, dst, candidates, loads):
         """The (load, host-id)-minimal candidate."""

@@ -10,12 +10,12 @@ Route construction is batch-first: :meth:`UpDownRouter.switch_tree`
 runs ONE full phase-aware BFS per source switch and records, for every
 destination, the first state enqueued at that switch plus the BFS
 predecessor pointers.  Because the full traversal enqueues states in
-exactly the same order as the per-pair early-exit BFS (``seen`` and
+exactly the same order as a per-pair early-exit BFS (``seen`` and
 ``prev`` are write-once, and the early exit only truncates a shared
 prefix), reconstructing a path from the tree is byte-identical to the
-per-pair search — kept verbatim as :meth:`switch_route_pairwise`, the
-oracle the benchmark gate compares against.  All-pairs construction
-drops from O(H²·E) to O(V·E).
+per-pair search — which the tests keep as an oracle
+(``tests/oracles/updown.py``).  All-pairs construction drops from
+O(H²·E) to O(V·E).
 
 Routes are *stamped* from per-switch-path templates: the inter-switch
 port bytes of a switch path are resolved and walked (every byte must
@@ -141,9 +141,9 @@ class UpDownRouter:
         """Full phase-aware BFS from ``src_switch``, memoized.
 
         One O(E) traversal serves every destination: the expansion order
-        is identical to :meth:`switch_route_pairwise` (same neighbor
-        sort, same seen-at-enqueue rule), so the first state enqueued at
-        each switch is exactly the goal state the per-pair search would
+        is that of a per-pair early-exit BFS (same neighbor sort, same
+        seen-at-enqueue rule), so the first state enqueued at each
+        switch is exactly the goal state the per-pair search would
         return, and the predecessor chain above it is the same prefix.
         """
         tree = self._trees.get(src_switch)
@@ -241,65 +241,13 @@ class UpDownRouter:
     def switch_route(self, src_switch: int, dst_switch: int) -> list[int]:
         """Shortest valid up*/down* switch path (inclusive endpoints).
 
-        Served from a memoized per-source tree when one is already warm;
-        otherwise a per-pair early-exit BFS (identical result).
-        """
-        tree = self._trees.get(src_switch)
-        if tree is not None:
-            return self._path_from_tree(tree, src_switch, dst_switch)
-        return self.switch_route_pairwise(src_switch, dst_switch)
-
-    def switch_route_pairwise(self, src_switch: int, dst_switch: int) -> list[int]:
-        """Per-pair early-exit BFS — the preserved legacy oracle.
-
+        Read off the memoized per-source tree (:meth:`switch_tree`).
         Deterministic: among equal-length candidates, BFS explores
         neighbors in ascending id order, preferring UP hops first (the
         classical mapper bias toward climbing early).
         """
-        topo, orient = self.topo, self.orientation
-        if not topo.is_switch(src_switch) or not topo.is_switch(dst_switch):
-            raise RouteError("switch_route endpoints must be switches")
-        if src_switch == dst_switch:
-            return [src_switch]
-
-        start = (src_switch, _PHASE_UP)
-        prev: dict[tuple[int, int], tuple[int, int]] = {}
-        seen = {start}
-        q = deque([start])
-        goal: Optional[tuple[int, int]] = None
-        while q and goal is None:
-            state = q.popleft()
-            u, phase = state
-            steps = []
-            for _port, v, link in topo.switch_neighbors(u):
-                d = orient.direction(link.link_id, u, v)
-                if phase == _PHASE_DOWN and d is Direction.UP:
-                    continue
-                nxt_phase = _PHASE_DOWN if d is Direction.DOWN else phase
-                steps.append((d is Direction.DOWN, v, nxt_phase))
-            # UP hops first, then by neighbor id: deterministic tie-break.
-            for _down, v, nxt_phase in sorted(steps):
-                nstate = (v, nxt_phase)
-                if nstate in seen:
-                    continue
-                seen.add(nstate)
-                prev[nstate] = state
-                if v == dst_switch:
-                    goal = nstate
-                    break
-                q.append(nstate)
-
-        if goal is None:
-            raise RouteError(
-                f"no valid up*/down* path {src_switch} -> {dst_switch}"
-            )
-        path = [goal[0]]
-        state = goal
-        while state != start:
-            state = prev[state]
-            path.append(state[0])
-        path.reverse()
-        return path
+        return self._path_from_tree(self.switch_tree(src_switch),
+                                    src_switch, dst_switch)
 
     def route(self, src_host: int, dst_host: int) -> SourceRoute:
         """Source route between two hosts."""
@@ -373,7 +321,7 @@ class UpDownRouter:
         """Routes for every ordered host pair (the mapper's job).
 
         Batched: one BFS tree per source switch, shared across every
-        destination.  Byte-identical to :meth:`all_pairs_pairwise`.
+        destination.
         """
         hosts = self.topo.hosts()
         out: dict[tuple[int, int], SourceRoute] = {}
@@ -383,25 +331,6 @@ class UpDownRouter:
                 if s != d:
                     out[(s, d)] = routes[d]
         return out
-
-    def all_pairs_pairwise(self) -> dict[tuple[int, int], SourceRoute]:
-        """Legacy per-pair construction — the preserved benchmark oracle."""
-        hosts = self.topo.hosts()
-        out: dict[tuple[int, int], SourceRoute] = {}
-        for s in hosts:
-            for d in hosts:
-                if s != d:
-                    out[(s, d)] = self.route_pairwise(s, d)
-        return out
-
-    def route_pairwise(self, src_host: int, dst_host: int) -> SourceRoute:
-        """Source route built with the per-pair BFS oracle."""
-        topo = self.topo
-        s_src = topo.switch_of(src_host)
-        s_dst = topo.switch_of(dst_host)
-        return self.route_via(
-            src_host, dst_host, self.switch_route_pairwise(s_src, s_dst)
-        )
 
     def itb_all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """Batched all-pairs in the single-segment ITB wrapper."""

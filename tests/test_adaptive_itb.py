@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exp import ExperimentSpec, Runner, get_experiment
-from repro.gm.mapper import ItbReselector
+from repro.exp import Runner, get_experiment
+from repro.gm.mapper import ItbReselector, remap_tables
 from repro.harness.adaptive import (busiest_default_itb_host,
                                     measure_adaptive_point,
                                     shifting_hotspot_traffic)
@@ -29,8 +29,9 @@ from repro.routing.cache import RouteCache
 from repro.routing.cdg import is_deadlock_free
 from repro.routing.itb import first_host_policy
 from repro.routing.routes import RouteError
-from repro.routing.selectors import (SELECTOR_NAMES, MapCongestionView,
-                                     Selector, make_selector)
+from repro.routing.selectors import (SELECTOR_NAMES, LeastLoadedSelector,
+                                     MapCongestionView, Selector,
+                                     make_selector)
 from repro.topology.generators import random_irregular
 from tests.oracles.itb import ReferenceReselector
 
@@ -349,6 +350,124 @@ class TestStampedReselection:
             route = net.nics[src].route_table.entries[dst]
             assert any(r is route for r in memo.values())
         assert full, "rotation must reach every candidate of some pair"
+
+
+class _CountingView(MapCongestionView):
+    """A :class:`MapCongestionView` that counts its load reads."""
+
+    def __init__(self, loads=None):
+        super().__init__(loads)
+        self.reads = 0
+
+    def host_load(self, host):
+        self.reads += 1
+        return super().host_load(host)
+
+
+class TestPassPolicy:
+    """A switch-keyed policy decides each cut switch once per pass, and
+    nothing outside a pass ever sees that decision."""
+
+    def test_switch_keyed_policies(self):
+        keyed = {name for name in SELECTOR_NAMES
+                 if make_selector(name).switch_keyed}
+        assert keyed == {"static", "least-loaded"}
+
+    def test_least_loaded_pass_reads_each_cut_switch_once(self):
+        view = _CountingView()
+        net, reselector = _build("least-loaded", view=view)
+        selector = reselector.selector
+        cuts = _itb_cuts(net)
+        switches = {sw for sw, _src, _dst in cuts}
+        assert len(cuts) > len(switches), "need several cuts per switch"
+        budget = sum(len(net.topo.hosts_on(sw)) for sw in switches)
+        sw = cuts[0][0]
+        first, second = net.topo.hosts_on(sw)[:2]
+        at_sw = sum(1 for s, _src, _dst in cuts if s == sw)
+
+        def one_pass():
+            view.reads = 0
+            decisions, engaged = selector.decisions, selector.engaged
+            reselector.reselect()
+            assert view.reads <= budget
+            assert selector.decisions - decisions == len(cuts)
+            return selector.engaged - engaged
+
+        def hosts_at_sw():
+            return {host for route in _all_routes(net)
+                    for host in route.itb_hosts
+                    if net.topo.switch_of(host) == sw}
+
+        assert one_pass() == 0
+        assert hosts_at_sw() == {first}
+        # The next pass sees loads set between passes.
+        view.set_load(first, 4096.0)
+        assert one_pass() == at_sw
+        assert hosts_at_sw() == {second}
+        view.set_load(first, 0.0)
+        view.set_load(second, 4096.0)
+        assert one_pass() == 0
+        assert hosts_at_sw() == {first}
+
+    def test_raising_choose_leaves_no_memo(self):
+        class FailsOnSecondSwitch(LeastLoadedSelector):
+            def __init__(self, view):
+                super().__init__(view)
+                self.choices = 0
+
+            def choose(self, topo, switch, src, dst, candidates, loads):
+                self.choices += 1
+                if self.choices == 2:
+                    raise RuntimeError("choose failed mid-pass")
+                return super().choose(topo, switch, src, dst, candidates,
+                                      loads)
+
+        topo = random_irregular(12, seed=3, hosts_per_switch=2)
+        net = build_load_network(topo, "itb")
+        view = _CountingView({h: 1.0 for h in topo.hosts()})
+        selector = FailsOnSecondSwitch(view)
+        reselector = ItbReselector(net, selector)
+        cuts = _itb_cuts(net)
+        assert len({sw for sw, _src, _dst in cuts}) >= 2
+        with pytest.raises(RuntimeError, match="mid-pass"):
+            reselector.reselect()
+        # The first switch was decided (lowest id on equal loads) before
+        # the failure; a direct call after it must read live loads.
+        sw, src, dst = cuts[0]
+        first, second = topo.hosts_on(sw)[:2]
+        view.set_load(first, 4096.0)
+        view.reads = 0
+        assert selector(topo, sw, src, dst) == second
+        assert view.reads == len(topo.hosts_on(sw))
+
+    def test_linkdown_remaps_follow_loads_between_calls(self):
+        view = MapCongestionView()
+        net, reselector = _build("least-loaded", view=view)
+        reselector.reselect()  # its decisions must not outlive the pass
+        # Losing the 1-3 cable keeps ITB splits on this fabric.
+        down = {next(link.link_id for link in net.topo.links
+                     if {link.node_a, link.node_b} == {1, 3})}
+        remap_tables(net, down)
+        switches = {sw for sw, _src, _dst in _itb_cuts(net)}
+        assert switches, "the degraded fabric must still route via an ITB"
+        firsts = {net.topo.hosts_on(sw)[0] for sw in switches}
+        seconds = {net.topo.hosts_on(sw)[1] for sw in switches}
+
+        def itb_hosts():
+            return {host for route in _all_routes(net)
+                    for host in route.itb_hosts}
+
+        assert itb_hosts() == firsts
+        for host in firsts:
+            view.set_load(host, 4096.0)
+        assert remap_tables(net, down) > 0
+        assert itb_hosts() == seconds
+        for host in firsts:
+            view.set_load(host, 0.0)
+        for host in seconds:
+            view.set_load(host, 4096.0)
+        assert remap_tables(net, down) > 0
+        assert itb_hosts() == firsts
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Batched all-pairs route construction vs the per-pair oracles.
 
 The scale-study tentpole rewired route construction around per-source
-trees; the per-pair searches were preserved verbatim as oracles
-(``*_pairwise``).  These tests pin the equivalence — same routes,
+trees; the per-pair searches are kept as oracles (``*_pairwise`` in
+``tests/oracles/``).  These tests pin the equivalence — same routes,
 byte for byte, in the same insertion order — on every topology family
 the repo ships, plus the cache and laziness behaviors that ride on
 the batch path.
@@ -26,6 +26,8 @@ from repro.topology.generators import (
     random_irregular_scaled,
     torus_2d,
 )
+from tests.oracles import itb as itb_oracle
+from tests.oracles import updown as updown_oracle
 
 
 def _topologies():
@@ -47,14 +49,15 @@ class TestBatchedEqualsPairwise:
     def test_updown(self, topo):
         orientation = build_orientation(topo)
         batched = UpDownRouter(topo, orientation).all_pairs()
-        oracle = UpDownRouter(topo, orientation).all_pairs_pairwise()
+        oracle = updown_oracle.all_pairs_pairwise(
+            UpDownRouter(topo, orientation))
         assert list(batched) == list(oracle)  # insertion order too
         assert batched == oracle
 
     def test_itb(self, topo):
         orientation = build_orientation(topo)
         batched = ItbRouter(topo, orientation).all_pairs()
-        oracle = ItbRouter(topo, orientation).all_pairs_pairwise()
+        oracle = itb_oracle.all_pairs_pairwise(ItbRouter(topo, orientation))
         assert list(batched) == list(oracle)
         assert batched == oracle
 
@@ -77,9 +80,8 @@ class TestBatchedStatefulPolicy:
         orientation = build_orientation(topo)
         batched = ItbRouter(topo, orientation,
                             host_policy=round_robin_policy()).all_pairs()
-        oracle = ItbRouter(topo, orientation,
-                           host_policy=round_robin_policy()
-                           ).all_pairs_pairwise()
+        oracle = itb_oracle.all_pairs_pairwise(ItbRouter(
+            topo, orientation, host_policy=round_robin_policy()))
         assert batched == oracle
 
 
@@ -107,8 +109,8 @@ class TestRouteCacheBatch:
         topo = random_irregular(10, seed=4)
         cache = RouteCache(max_entries=4)
         _orient, pairs = cache.routes_for(topo, "itb")
-        oracle = ItbRouter(topo, build_orientation(topo)
-                           ).all_pairs_pairwise()
+        oracle = itb_oracle.all_pairs_pairwise(
+            ItbRouter(topo, build_orientation(topo)))
         assert pairs == oracle
 
     def test_routes_from_counts_batch_hits(self):

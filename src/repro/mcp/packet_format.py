@@ -25,9 +25,9 @@ the exact header arithmetic the MCP performs.
 
 Like the mapper writing route bytes into NIC SRAM once, a route's
 header bytes (every sub-path plus its ITB stage headers) are encoded on
-the route's first send and memoized on the route object itself; every
-later packet on that route only copies them (see
-``docs/ENGINE_FASTPATH.md``, "Per-packet NIC path").
+the route's first send and memoized in the route object's
+``_packet_header`` slot; every later packet on that route only copies
+them (see ``docs/ENGINE_FASTPATH.md``, "Per-packet NIC path").
 """
 
 from __future__ import annotations
@@ -275,21 +275,18 @@ def _xor_fold(data: bytes) -> int:
     return value
 
 
-#: Key of the header memo in a route object's ``__dict__``.
-_HEADER_MEMO = "_packet_header"
-
-
 def _route_header(route: ItbRoute | SourceRoute) -> bytes:
     """Every sub-path's route bytes plus the ITB stage headers between
     them: everything in front of the final type field.
 
-    Encoded on the first call for a route object and memoized on the
-    object (frozen dataclasses keep a writable ``__dict__``, as
-    :func:`functools.cached_property` relies on).  Routes are
+    Encoded on the first call for a route object and memoized in its
+    ``_packet_header`` field: a slot that takes no part in ``__init__``,
+    equality, hashing or ``repr``, written past the frozen dataclass's
+    ``__setattr__`` with :func:`object.__setattr__`.  Routes are
     immutable and a remap or reselection installs new route objects,
     so the memo never goes stale and dies with its route.
     """
-    header = route.__dict__.get(_HEADER_MEMO)
+    header = route._packet_header
     if header is None:
         segments = (route,) if isinstance(route, SourceRoute) else route.segments
         parts = [bytes([_route_byte(p) for p in segments[0].ports])]
@@ -298,7 +295,8 @@ def _route_header(route: ItbRoute | SourceRoute) -> bytes:
             if len(path) > 255:
                 raise PacketFormatError("sub-path longer than 255 switches")
             parts.append(_ITB_TAG + bytes([len(path)]) + path)
-        header = route.__dict__[_HEADER_MEMO] = b"".join(parts)
+        header = b"".join(parts)
+        object.__setattr__(route, "_packet_header", header)
     return header
 
 

@@ -22,7 +22,12 @@ path of any length.
 Each switch pair's plan is turned once into a :data:`Template` — the
 cut segments with their port bytes resolved and validated — and every
 host pair is *stamped* from it: the host policy picks one in-transit
-host per cut, and stamping adds only the exit-host ports.
+host per cut, and stamping adds only the exit-host ports.  Route parts
+are stored once per router: a sub-path is interned and validated once
+however many plans cut it out, and a segment is stamped once per
+(entry host, exit host, sub-path), so every pair that leaves one host
+for the same in-transit host along the same sub-path holds the same
+:class:`~repro.routing.routes.SourceRoute`.
 
 In-transit host selection within a switch is pluggable (policy
 callable), since the paper's follow-ups study load-aware placement.
@@ -49,7 +54,9 @@ Template = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
 Every ``sub_path`` obeys the up*/down* rule and every port byte walks
 to the next switch of its ``sub_path``; the last segment's cut switch
-is the destination switch."""
+is the destination switch.  ``sub_path`` and ``ports`` are the router's
+interned tuples, shared by every template that cuts the same
+sub-path."""
 
 
 def first_host_policy(topo: Topology, switch: int, _src: int, _dst: int) -> int:
@@ -125,6 +132,12 @@ class ItbRouter:
         self._templates: dict[tuple[int, int], Optional[Template]] = {}
         # s_src -> (parent, goal) full legalization-Dijkstra tree.
         self._legal_trees: dict[int, tuple[dict, dict]] = {}
+        # sub_path -> (interned sub_path, inter-switch ports), validated.
+        self._sub_paths: dict[tuple[int, ...],
+                              tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # (entry host, exit host, sub_path) -> the stamped segment.
+        self._segments: dict[tuple[int, int, tuple[int, ...]],
+                             SourceRoute] = {}
 
     # ------------------------------------------------------------------
     # path analysis
@@ -286,18 +299,22 @@ class ItbRouter:
 
         Each segment re-enters at the violation switch it was cut at,
         must obey the up*/down* rule, and has its inter-switch port
-        bytes walked hop by hop (:func:`~repro.routing.updown.hop_ports`).
+        bytes walked hop by hop (:func:`~repro.routing.updown.hop_ports`)
+        — once per distinct sub-path, which is interned.
         """
-        topo = self.topo
+        sub_paths = self._sub_paths
         segments = []
         start = 0
         for cut in (*splits, len(switch_path) - 1):
-            sub_path = tuple(switch_path[start:cut + 1])
-            if not self.orientation.is_valid_updown_path(topo, sub_path):
-                raise RouteError(
-                    f"internal error: segment {list(sub_path)} still invalid"
-                )
-            segments.append((sub_path, hop_ports(topo, sub_path), sub_path[-1]))
+            key = tuple(switch_path[start:cut + 1])
+            interned = sub_paths.get(key)
+            if interned is None:
+                if not self.orientation.is_valid_updown_path(self.topo, key):
+                    raise RouteError(
+                        f"internal error: segment {list(key)} still invalid"
+                    )
+                interned = sub_paths[key] = (key, hop_ports(self.topo, key))
+            segments.append((*interned, key[-1]))
             start = cut
         return tuple(segments)
 
@@ -319,23 +336,26 @@ class ItbRouter:
         """The route of one host pair through the given in-transit hosts.
 
         ``itb_hosts`` names one host per cut of ``template``; each must
-        be attached to its cut switch.  Segments reuse the template's
-        ``switch_path`` tuples and add only the verified exit port.
+        be attached to its cut switch.  A segment is stamped once per
+        ``(entry host, exit host, sub_path)`` — the template's
+        ``sub_path`` plus the verified exit port — and shared by every
+        route that uses it.
         """
         if len(itb_hosts) != len(template) - 1:
             raise RouteError(f"{len(template) - 1} cuts need as many"
                              f" in-transit hosts, got {list(itb_hosts)}")
-        exits = self._exits
+        memo, exits = self._segments, self._exits
         segments = []
         entry = src_host
         for (sub_path, ports, cut), exit_host in zip(template,
                                                      (*itb_hosts, dst_host)):
-            segments.append(SourceRoute(
-                src=entry,
-                dst=exit_host,
-                ports=ports + (exits.port(cut, exit_host),),
-                switch_path=sub_path,
-            ))
+            key = (entry, exit_host, sub_path)
+            segment = memo.get(key)
+            if segment is None:
+                segment = memo[key] = SourceRoute(
+                    entry, exit_host, ports + (exits.port(cut, exit_host),),
+                    sub_path)
+            segments.append(segment)
             entry = exit_host
         return ItbRoute(tuple(segments))
 

@@ -13,9 +13,9 @@ host where the packet is ejected and re-injected (paper Figure 3b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 __all__ = ["Direction", "ItbRoute", "RouteError", "SourceRoute"]
 
@@ -31,8 +31,19 @@ class Direction(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class SourceRoute:
+class _Route:
+    """Base of the route types: weak-referenceable, with no ``__dict__``.
+
+    The dataclasses below add their fields as ``__slots__``; declaring
+    ``__weakref__`` here keeps them weak-referenceable on every
+    supported Python (``dataclass(weakref_slot=...)`` needs 3.11).
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class SourceRoute(_Route):
     """One deliverable source route from a source host to a dest host.
 
     Attributes
@@ -45,12 +56,19 @@ class SourceRoute:
     switch_path:
         Node ids of the switches traversed, in order.  Always
         ``len(switch_path) == len(ports)``.
+
+    A router stamps one object per distinct segment and shares the
+    ``ports``/``switch_path`` tuples between routes that traverse the
+    same switches (:mod:`repro.routing.itb`, :mod:`repro.routing.updown`).
     """
 
     src: int
     dst: int
     ports: tuple[int, ...]
     switch_path: tuple[int, ...]
+    #: Encoded header, memoized by :mod:`repro.mcp.packet_format`.
+    _packet_header: Optional[bytes] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.ports) != len(self.switch_path):
@@ -83,8 +101,8 @@ class SourceRoute:
         return f"<SourceRoute {self.src}->{self.dst} via [{path}]>"
 
 
-@dataclass(frozen=True)
-class ItbRoute:
+@dataclass(frozen=True, slots=True)
+class ItbRoute(_Route):
     """A route made of one or more segments joined at in-transit hosts.
 
     ``segments[i].dst == itb_hosts[i]`` for every in-transit host, and
@@ -93,6 +111,9 @@ class ItbRoute:
     """
 
     segments: tuple[SourceRoute, ...]
+    #: Encoded header, memoized by :mod:`repro.mcp.packet_format`.
+    _packet_header: Optional[bytes] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.segments:

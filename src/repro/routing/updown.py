@@ -19,9 +19,11 @@ O(H²·E) to O(V·E).
 
 Routes are *stamped* from per-switch-path templates: the inter-switch
 port bytes of a switch path are resolved and walked (every byte must
-land on the next switch of the path) once per path, and each host pair
-adds only its verified exit port.  The resulting routes share the
-template's ``switch_path`` tuple.
+land on the next switch of the path) once per path.  A *row* — the
+template plus one destination host's verified exit port — is built
+once per source switch and shared by every host on that switch, so
+the routes of co-located sources hold one ``switch_path`` and one
+``ports`` tuple per destination between them.
 """
 
 from __future__ import annotations
@@ -132,6 +134,9 @@ class UpDownRouter:
         # switch path -> (path tuple, inter-switch ports), validated once.
         self._templates: dict[tuple[int, ...],
                               tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # src_switch -> {dst host: (switch path, ports + exit port)}.
+        self._rows: dict[int, dict[int, tuple[tuple[int, ...],
+                                              tuple[int, ...]]]] = {}
         self._exits = ExitPorts(topo)
 
     # ------------------------------------------------------------------
@@ -211,29 +216,25 @@ class UpDownRouter:
     ) -> dict[int, SourceRoute]:
         """Routes from one host to every destination host, off one tree.
 
-        With ``strict=False`` unreachable destinations are silently
-        skipped (the keep-stale semantics fault remap relies on).
+        Each route is the source switch's row for its destination
+        (:meth:`_row`), so hosts on one switch share every row.  With
+        ``strict=False`` unreachable destinations are silently skipped
+        (the keep-stale semantics fault remap relies on).
         """
         topo = self.topo
         s_src = topo.switch_of(src_host)
-        tree = self.switch_tree(s_src)
-        templates: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        row = self._row
         out: dict[int, SourceRoute] = {}
         for d in (topo.hosts() if dests is None else dests):
             if d == src_host:
                 continue
             try:
-                s_dst = topo.switch_of(d)
-                template = templates.get(s_dst)
-                if template is None:
-                    template = self._template(
-                        self._path_from_tree(tree, s_src, s_dst))
-                    templates[s_dst] = template
-                out[d] = self._stamp(src_host, d, template)
+                path, ports = row(s_src, d)
             except (RouteError, KeyError):
                 if strict:
                     raise
                 continue
+            out[d] = SourceRoute(src_host, d, ports, path)
         return out
 
     # ------------------------------------------------------------------
@@ -267,10 +268,13 @@ class UpDownRouter:
         s_src = topo.switch_of(src_host)
         s_dst = topo.switch_of(dst_host)
         if switch_path is None:
-            switch_path = self.switch_route(s_src, s_dst)
-        if switch_path[0] != s_src or switch_path[-1] != s_dst:
-            raise RouteError("switch_path endpoints do not match hosts")
-        return self._stamp(src_host, dst_host, self._template(switch_path))
+            path, ports = self._row(s_src, dst_host)
+        else:
+            if switch_path[0] != s_src or switch_path[-1] != s_dst:
+                raise RouteError("switch_path endpoints do not match hosts")
+            path, ports = self._template(switch_path)
+            ports += (self._exits.port(s_dst, dst_host),)
+        return SourceRoute(src_host, dst_host, ports, path)
 
     def itb_route(self, src_host: int, dst_host: int) -> ItbRoute:
         """Uniform interface with :class:`ItbRouter`: a single segment."""
@@ -296,20 +300,25 @@ class UpDownRouter:
             self._templates[key] = template
         return template
 
-    def _stamp(
-        self,
-        src_host: int,
-        dst_host: int,
-        template: tuple[tuple[int, ...], tuple[int, ...]],
-    ) -> SourceRoute:
-        """One host pair's route: the template plus its exit port."""
-        path, ports = template
-        return SourceRoute(
-            src=src_host,
-            dst=dst_host,
-            ports=ports + (self._exits.port(path[-1], dst_host),),
-            switch_path=path,
-        )
+    def _row(
+        self, s_src: int, dst_host: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(switch path, ports + exit port)`` from ``s_src`` to a host:
+        the path's template plus the verified exit port.
+
+        Memoized per source switch, so every host on ``s_src`` shares
+        one row per destination.
+        """
+        rows = self._rows.get(s_src)
+        if rows is None:
+            rows = self._rows[s_src] = {}
+        row = rows.get(dst_host)
+        if row is None:
+            s_dst = self.topo.switch_of(dst_host)
+            path, ports = self._template(self.switch_route(s_src, s_dst))
+            row = rows[dst_host] = (
+                path, ports + (self._exits.port(s_dst, dst_host),))
+        return row
 
     def is_valid(self, route: SourceRoute) -> bool:
         """Check the up*/down* rule over the route's switch path."""

@@ -6,6 +6,14 @@ trees; the per-pair searches are kept as oracles (``*_pairwise`` in
 byte for byte, in the same insertion order — on every topology family
 the repo ships, plus the cache and laziness behaviors that ride on
 the batch path.
+
+The pairwise ITB oracle plans each pair on its own but stamps through
+the router's ``_make_template`` and ``_route``, so it shares the
+router's interned sub-paths and segments.  Every route is therefore
+also rebuilt hop by hop by ``tests/oracles/itb.reference_route``,
+which shares no memo with the routers, and the sharing itself — one
+object per distinct route part, scoped to one router — is pinned
+directly.
 """
 
 from __future__ import annotations
@@ -69,6 +77,87 @@ class TestBatchedEqualsPairwise:
         for d in hosts:
             if d != src:
                 assert routes[d] == router.route(src, d)
+
+
+def _reference_mismatches(topo, orientation, routes):
+    """Routes that differ from the hop-by-hop build of their own plan."""
+    bad = []
+    for (s, d), route in routes.items():
+        path, splits = itb_oracle.plan_of(route)
+        itb_hosts = iter(route.itb_hosts)
+
+        def choose(switch):
+            host = next(itb_hosts)
+            assert topo.switch_of(host) == switch
+            return host
+
+        if itb_oracle.reference_route(topo, orientation, s, d, path, splits,
+                                      choose) != route:
+            bad.append((s, d))
+    return bad
+
+
+@pytest.mark.parametrize("topo", [t for _, t in TOPOLOGIES], ids=IDS)
+class TestHopByHopReference:
+    """Stamped routes equal the memo-free hop-by-hop reference build."""
+
+    def test_itb(self, topo):
+        orientation = build_orientation(topo)
+        routes = ItbRouter(topo, orientation).all_pairs()
+        assert _reference_mismatches(topo, orientation, routes) == []
+
+    def test_updown(self, topo):
+        orientation = build_orientation(topo)
+        routes = UpDownRouter(topo, orientation).itb_all_pairs()
+        assert _reference_mismatches(topo, orientation, routes) == []
+
+
+class TestSharedRouteParts:
+    """Each router stores a shared route part once, and only for itself."""
+
+    @pytest.fixture(scope="class")
+    def topo(self):
+        return random_irregular(16, seed=11, hosts_per_switch=2)
+
+    def test_itb_first_segment_shared_across_destinations(self, topo):
+        routes = ItbRouter(topo).all_pairs()
+        firsts: dict = {}
+        for route in routes.values():
+            if route.n_itbs:
+                seg = route.segments[0]
+                firsts.setdefault((seg.src, seg.dst, seg.switch_path),
+                                  []).append(seg)
+        shared = [segs for segs in firsts.values() if len(segs) > 1]
+        assert shared, "no two ITB routes leave a source the same way"
+        for segs in shared:
+            assert all(seg is segs[0] for seg in segs)
+
+    def test_one_segment_object_per_distinct_segment(self, topo):
+        routes = ItbRouter(topo).all_pairs()
+        segments = [seg for route in routes.values() for seg in route]
+        values = {(seg.src, seg.dst, seg.switch_path) for seg in segments}
+        assert len({id(seg) for seg in segments}) == len(values)
+        assert len(values) < len(segments)
+
+    def test_updown_rows_shared_by_co_located_hosts(self, topo):
+        routes = UpDownRouter(topo).all_pairs()
+        a, b = next(hosts for hosts in map(topo.hosts_on, topo.switches())
+                    if len(hosts) >= 2)[:2]
+        for d in topo.hosts():
+            if d not in (a, b):
+                assert routes[(a, d)].ports is routes[(b, d)].ports
+                assert (routes[(a, d)].switch_path
+                        is routes[(b, d)].switch_path)
+
+    @pytest.mark.parametrize("router", [ItbRouter, UpDownRouter])
+    def test_routers_share_no_source_route(self, topo, router):
+        orientation = build_orientation(topo)
+        first, second = (router(topo, orientation).itb_all_pairs()
+                         for _ in range(2))
+        assert first == second
+        ids = {id(seg) for route in first.values() for seg in route}
+        assert not ids & {id(seg) for route in second.values()
+                          for seg in route}
 
 
 class TestBatchedStatefulPolicy:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+import weakref
+
 import pytest
 
+from repro.mcp.packet_format import encode_packet
 from repro.routing.routes import ItbRoute, RouteError, SourceRoute
 from repro.routing.tables import RouteTable, build_route_tables
 from repro.routing.updown import UpDownRouter
@@ -55,6 +59,44 @@ class TestItbRoute:
     def test_single_segment_has_no_itbs(self):
         route = ItbRoute((self.seg(0, 1, 10),))
         assert route.n_itbs == 0 and route.itb_hosts == ()
+
+
+class TestRouteObjects:
+    """Slotted route objects: no ``__dict__``, but weak references,
+    pickling, equality and hashing all work, header memo included."""
+
+    @pytest.fixture
+    def route(self):
+        return ItbRoute((
+            SourceRoute(src=0, dst=5, ports=(1, 2), switch_path=(10, 11)),
+            SourceRoute(src=5, dst=1, ports=(3,), switch_path=(11,)),
+        ))
+
+    def test_no_instance_dict(self, route):
+        for obj in (route, route.segments[0]):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                object.__setattr__(obj, "extra", 1)
+
+    def test_weakref(self, route):
+        for obj in (route, route.segments[0]):
+            assert weakref.ref(obj)() is obj
+
+    def test_header_memo_is_not_part_of_the_value(self, route):
+        fresh = ItbRoute(route.segments)
+        image = encode_packet(route, 8)
+        assert route._packet_header is not None
+        assert fresh._packet_header is None
+        assert route == fresh and hash(route) == hash(fresh)
+        assert encode_packet(fresh, 8).data == image.data
+
+    def test_pickle_round_trip_keeps_the_memo(self, route):
+        image = encode_packet(route, 8)
+        restored = pickle.loads(pickle.dumps(route))
+        assert restored == route and hash(restored) == hash(route)
+        assert restored._packet_header == route._packet_header
+        assert encode_packet(restored, 8).data == image.data
+        assert restored.segments[1] == route.segments[1]
 
 
 class TestRouteTable:

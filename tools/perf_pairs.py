@@ -13,16 +13,19 @@ For every workload and end-to-end metric declared in the change's
 share of pairs the change won (ties count for neither side), and a
 verdict:
 
-* ``gain``: the change won at least 9/10 of the pairs and the medians
-  are further apart than the parent's interquartile range;
+* ``gain``: the change won at least 9/10 of the pairs, the medians
+  are further apart than the parent's interquartile range, and the
+  change's share of failed operations is no larger than the parent's;
 * ``regression``: the change's median is worse than the parent's by
   more than the metric's bound;
 * ``unresolved``: the parent's own spread is wider than the bound and
   not every change run beats every parent run;
 * ``within bound``: otherwise.
 
-It also prints whether every run of both sides produced the same
-simulated-output digest.  The exit code is 1 when a run fails, reports
+It also prints each side's failed operations (``failed / attempted``
+summed over its runs), whether every run of both sides produced the
+same simulated-output digest, and every run's value of every metric in
+pair order.  The exit code is 1 when a run fails, reports
 ``"correct": false``, or the digests differ; a verdict never fails it.
 The tool only reads ``BENCHMARK.json`` and calls ``run.py`` unchanged.
 """
@@ -67,8 +70,18 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return values[0], values[0], values[0]
 
 
-def verdict(parent: list, change: list, metric: dict) -> tuple[float, str]:
-    """The change's win share and the verdict on one metric."""
+def failed_share(failed: int, attempted: int) -> float:
+    """Share of operations that failed (0 when none were attempted)."""
+    return failed / attempted if attempted else 0.0
+
+
+def verdict(parent: list, change: list, metric: dict,
+            failed: tuple[float, float] = (0.0, 0.0)) -> tuple[float, str]:
+    """The change's win share and the verdict on one metric.
+
+    ``failed`` is the ``(parent, change)`` share of failed operations;
+    a change that fails a larger share than its parent is never a gain.
+    """
     sign = 1.0 if metric["better"] == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     share = wins / len(parent)
@@ -76,7 +89,8 @@ def verdict(parent: list, change: list, metric: dict) -> tuple[float, str]:
     c_med = quartiles(change)[1]
     bound = metric["bound"]
     if (len(parent) >= MIN_PAIRS and share >= WIN_SHARE
-            and sign * (p_med - c_med) > p_q3 - p_q1):
+            and sign * (p_med - c_med) > p_q3 - p_q1
+            and failed[1] <= failed[0]):
         return share, "gain"
     if sign * (c_med - p_med) > bound * abs(p_med):
         return share, "regression"
@@ -115,7 +129,7 @@ def main(argv=None) -> int:
         values = {"parent": {m["name"]: [] for m in metrics},
                   "change": {m["name"]: [] for m in metrics}}
         digests: set = set()
-        failed = {"parent": 0, "change": 0}
+        ops = {"parent": [0, 0], "change": [0, 0]}  # failed, attempted
         for i in range(args.pairs):
             order = (("parent", parent), ("change", change))
             for side, tree in (order if i % 2 == 0 else order[::-1]):
@@ -124,10 +138,12 @@ def main(argv=None) -> int:
                 if not result["correct"]:
                     ok = False
                     continue
-                failed[side] += result["failed"]
+                ops[side][0] += result["failed"]
+                ops[side][1] += result["attempted"]
                 for m in metrics:
                     values[side][m["name"]].append(
                         result["metrics"][m["name"]]["value"])
+        shares = (failed_share(*ops["parent"]), failed_share(*ops["change"]))
         print(f"{workload}  seed {args.seed}  pairs {args.pairs}"
               f"  scale {args.scale:g}  seconds {args.seconds:g}")
         for m in metrics:
@@ -137,16 +153,24 @@ def main(argv=None) -> int:
                 continue
             p_q = quartiles(p)
             c_q = quartiles(c)
-            share, text = verdict(p, c, m)
+            share, text = verdict(p, c, m, shares)
             ratio = c_q[1] / p_q[1] if p_q[1] else float("nan")
             print(f"  {m['name']:12s} parent {p_q[1]:10.5g} [{p_q[0]:.5g},"
                   f" {p_q[2]:.5g}]  change {c_q[1]:10.5g} [{c_q[0]:.5g},"
                   f" {c_q[2]:.5g}] {m['unit']:3s} x{ratio:.3f}"
                   f"  wins {share:.2f}  bound {m['bound']:g}  {text}")
         same = len(digests) == 1 and "" not in digests
-        print(f"  failed ops   parent {failed['parent']}  change"
-              f" {failed['change']}")
+        print("  failed ops   " + "  ".join(
+            f"{side} {ops[side][0]}/{ops[side][1]} ({share:.3%})"
+            for side, share in zip(ops, shares)))
         print(f"  digests      {'match' if same else 'DIFFER'}")
+        print("  every run, in pair order (the parent ran first in odd"
+              " pairs):")
+        for m in metrics:
+            for side in ("parent", "change"):
+                name = m["name"] if side == "parent" else ""
+                runs = " ".join(f"{v:.4g}" for v in values[side][m["name"]])
+                print(f"  {name:12s} {side:6s} {runs}")
         ok = ok and same
     return 0 if ok else 1
 

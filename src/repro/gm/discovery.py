@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.topology.graph import Topology
 from repro.mcp.packet_format import TYPE_MAPPING
 from repro.routing.routes import ItbRoute, SourceRoute
+from repro.topology.graph import TopologyError
 
 __all__ = ["DiscoveredMap", "DiscoveryError", "discover_network"]
 
@@ -127,7 +128,7 @@ def discover_network(
         """Ground-truth resolution of a probe route (the echo oracle)."""
         try:
             return topo.walk_route(mapper_host, route_ports)
-        except Exception:
+        except TopologyError:
             return None
 
     def send_probe(route_ports: list[int], target_host: int) -> None:

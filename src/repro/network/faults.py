@@ -28,6 +28,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.mcp.buffers import NicBufferError
+
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.core.builder import BuiltNetwork
     from repro.mcp.firmware import Firmware, TransitPacket
@@ -255,9 +257,10 @@ class FaultInjector:
                 and not forward_owns:
             try:
                 fw.nic.recv_buffers.release(tp)
-                fw._admit_recv_waiter()
-            except Exception:
+            except NicBufferError:
                 pass  # packet was not (or no longer) buffered there
+            else:
+                fw._admit_recv_waiter()
         on_delivered, tp.on_delivered = tp.on_delivered, None
         if on_delivered is not None:
             on_delivered(tp)
@@ -326,9 +329,10 @@ def _wrap_firmware(fw: "Firmware", plan: FaultPlan) -> None:
                 # Free the receive buffer the claim took at on_header.
                 try:
                     fw.nic.recv_buffers.release(tp)
-                    fw._admit_recv_waiter()
-                except Exception:
+                except NicBufferError:
                     pass  # packet was flushed before buffering
+                else:
+                    fw._admit_recv_waiter()
                 drained = worm.meta.get("on_drained")
                 if drained is not None and not drained.triggered:
                     drained.succeed()

@@ -11,7 +11,11 @@ Implements the routing machinery the paper builds on:
 * pluggable, congestion-aware in-transit host selection — static /
   random / round-robin / least-loaded / EWMA policies over a
   duck-typed occupancy view (:mod:`repro.routing.selectors`),
-* channel-dependency-graph deadlock checking (:mod:`repro.routing.cdg`),
+* channel-dependency-graph deadlock checking (:mod:`repro.routing.cdg`)
+  on :class:`~repro.routing.cdg.DependencyGraph`, an insertion-ordered
+  adjacency dict; its ``find_cycle()`` returns the first cycle a
+  depth-first search finds when it visits nodes and successors in
+  insertion order, or ``None`` for a deadlock-free routing,
 * per-host route tables as stamped into NIC SRAM by the mapper
   (:mod:`repro.routing.tables`),
 * a process-safe all-pairs route cache shared across experiment
@@ -29,6 +33,7 @@ from repro.routing.updown import UpDownRouter
 from repro.routing.minimal import MinimalRouter, all_shortest_switch_paths
 from repro.routing.itb import ItbRouter
 from repro.routing.cdg import (
+    DependencyGraph,
     channel_dependency_graph,
     find_dependency_cycle,
     is_deadlock_free,
@@ -49,6 +54,7 @@ from repro.routing.selectors import (
 
 __all__ = [
     "CongestionView",
+    "DependencyGraph",
     "Direction",
     "ItbRoute",
     "ItbRouter",

@@ -12,6 +12,15 @@ This module builds the CDG for a set of routes (plain or ITB) and
 checks acyclicity — used by tests to prove both that up*/down* and ITB
 routings are deadlock-free and that *unsplit* minimal routing is not.
 
+The graph is a :class:`DependencyGraph`: an insertion-ordered
+adjacency dict (node -> successors, themselves an insertion-ordered
+dict used as a set).  Nodes and each node's successors keep the order
+in which the routes first used them.  :meth:`DependencyGraph.find_cycle`
+is an iterative three-colour depth-first search that starts from the
+nodes in insertion order and follows successors in insertion order;
+it returns the *first* cycle that search closes, as its nodes in
+dependency order, or ``None`` when the graph is acyclic.
+
 Virtual-channel lanes
 ---------------------
 With ``n_lanes > 1`` the analysis operates on *lane* nodes
@@ -36,14 +45,13 @@ segment uses at each hop depends on the fabric's lane policy:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
-
-import networkx as nx
+from typing import Hashable, Iterable, Optional, Union
 
 from repro.routing.routes import ItbRoute, SourceRoute
 from repro.topology.graph import Topology
 
 __all__ = [
+    "DependencyGraph",
     "channel_dependency_graph",
     "find_dependency_cycle",
     "is_deadlock_free",
@@ -52,6 +60,78 @@ __all__ = [
 
 Channel = tuple[int, int]  # (link_id, direction): direction 0 = a->b end
 RouteLike = Union[SourceRoute, ItbRoute]
+
+
+class DependencyGraph:
+    """A directed graph kept as an insertion-ordered adjacency dict.
+
+    ``succ`` maps every node to a dict whose keys are the node's
+    successors (the values are unused), both in first-insertion order;
+    parallel edges collapse into one.
+    """
+
+    __slots__ = ("succ",)
+
+    def __init__(self) -> None:
+        self.succ: dict[Hashable, dict[Hashable, None]] = {}
+
+    def add_edge(self, a: Hashable, b: Hashable) -> None:
+        """Add the dependency ``a -> b``, adding either node if new."""
+        succ = self.succ
+        out = succ.get(a)
+        if out is None:
+            out = succ[a] = {}
+        out[b] = None
+        if b not in succ:
+            succ[b] = {}
+
+    @property
+    def nodes(self):
+        """The nodes, in insertion order (a live keys view)."""
+        return self.succ.keys()
+
+    def number_of_nodes(self) -> int:
+        """How many distinct nodes the graph holds."""
+        return len(self.succ)
+
+    def number_of_edges(self) -> int:
+        """How many distinct directed edges the graph holds."""
+        return sum(map(len, self.succ.values()))
+
+    def find_cycle(self) -> Optional[list]:
+        """One directed cycle as its nodes in order, or None if acyclic.
+
+        Iterative three-colour depth-first search: a node is white
+        until reached, grey while on the current path, black once all
+        its successors are finished.  Meeting a grey node closes a
+        cycle; the result runs from that node along the path to the
+        node whose edge reached it.  Roots and successors are visited
+        in insertion order, so the cycle returned is the first one the
+        search finds.
+        """
+        succ = self.succ
+        black: set = set()
+        for root in succ:
+            if root in black:
+                continue
+            path = [root]
+            grey = {root: 0}  # node -> its index on path
+            stack = [iter(succ[root])]
+            while stack:
+                for nxt in stack[-1]:
+                    if nxt in grey:
+                        return path[grey[nxt]:]
+                    if nxt not in black:
+                        grey[nxt] = len(path)
+                        path.append(nxt)
+                        stack.append(iter(succ[nxt]))
+                        break
+                else:
+                    stack.pop()
+                    node = path.pop()
+                    del grey[node]
+                    black.add(node)
+        return None
 
 
 def _segment_channels(topo: Topology, seg: SourceRoute) -> list[Channel]:
@@ -94,6 +174,7 @@ def _segment_steps(topo: Topology,
 
 
 def iter_segments(route: RouteLike) -> Iterable[SourceRoute]:
+    """The source-route segments of a plain or ITB route, in order."""
     if isinstance(route, ItbRoute):
         return route.segments
     return (route,)
@@ -118,7 +199,7 @@ def lanes_required(topo: Topology, routes: Iterable[RouteLike]) -> int:
 def channel_dependency_graph(
     topo: Topology, routes: Iterable[RouteLike],
     n_lanes: int = 1, lane_policy: str = "fixed",
-) -> "nx.DiGraph":
+) -> DependencyGraph:
     """Build the CDG: nodes are channels (lanes when ``n_lanes > 1``
     under the escape policy), edges are held-while-requesting pairs
     within a single segment.
@@ -132,7 +213,7 @@ def channel_dependency_graph(
     laned = n_lanes > 1 and lane_policy == "escape"
     if laned:
         from repro.network.lanes import escape_lane_walk
-    g = nx.DiGraph()
+    g = DependencyGraph()
     for route in routes:
         for seg in iter_segments(route):
             chans: list = _segment_channels(topo, seg)
@@ -140,8 +221,8 @@ def channel_dependency_graph(
                 lanes = escape_lane_walk(_segment_steps(topo, seg), n_lanes)
                 chans = [(link, direction, lane) for (link, direction), lane
                          in zip(chans, lanes)]
-            for ch in chans:
-                g.add_node(ch)
+            # Every segment has an injection and a delivery channel, so
+            # each channel enters the graph through an edge.
             for a, b in zip(chans, chans[1:]):
                 g.add_edge(a, b)
     return g
@@ -151,14 +232,13 @@ def find_dependency_cycle(
     topo: Topology, routes: Iterable[RouteLike],
     n_lanes: int = 1, lane_policy: str = "fixed",
 ) -> Optional[list[Channel]]:
-    """Return one dependency cycle, or None when the CDG is acyclic."""
-    g = channel_dependency_graph(topo, routes, n_lanes=n_lanes,
-                                 lane_policy=lane_policy)
-    try:
-        cycle_edges = nx.find_cycle(g, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    """Return one dependency cycle, or None when the CDG is acyclic.
+
+    The cycle is the first one :meth:`DependencyGraph.find_cycle`
+    finds, as channels (or lanes) in dependency order.
+    """
+    return channel_dependency_graph(topo, routes, n_lanes=n_lanes,
+                                    lane_policy=lane_policy).find_cycle()
 
 
 def is_deadlock_free(

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-import networkx as nx
-
 __all__ = ["Link", "NodeKind", "PortKind", "Topology", "TopologyError"]
 
 
@@ -436,38 +434,30 @@ class Topology:
         return table
 
     # ------------------------------------------------------------------
-    # derived graphs / validation
+    # validation
     # ------------------------------------------------------------------
-
-    def switch_graph(self) -> "nx.MultiGraph":
-        """networkx MultiGraph over switches only (parallel links kept)."""
-        g = nx.MultiGraph()
-        g.add_nodes_from(self.switches())
-        for link in self._links:
-            if self.is_switch(link.node_a) and self.is_switch(link.node_b):
-                g.add_edge(link.node_a, link.node_b, key=link.link_id, link=link)
-        return g
-
-    def full_graph(self) -> "nx.MultiGraph":
-        """networkx MultiGraph over all nodes."""
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(self.n_nodes))
-        for link in self._links:
-            g.add_edge(link.node_a, link.node_b, key=link.link_id, link=link)
-        return g
 
     def validate(self) -> None:
         """Raise :class:`TopologyError` on structural problems.
 
         Checks: every host cabled to exactly one switch; the switch
         fabric is connected; every host can reach every other host.
+        Connectivity is a breadth-first search over
+        :meth:`switch_neighbors`, which leaves out host cables and
+        loopbacks.
         """
         for host in self.hosts():
             self.switch_of(host)  # raises when mis-cabled
         switches = self.switches()
         if switches:
-            g = self.switch_graph()
-            if not nx.is_connected(nx.Graph(g)):
+            seen = {switches[0]}
+            frontier = [switches[0]]
+            for switch in frontier:  # grows while it is walked
+                for _port, peer, _link in self.switch_neighbors(switch):
+                    if peer not in seen:
+                        seen.add(peer)
+                        frontier.append(peer)
+            if len(seen) != len(switches):
                 raise TopologyError("switch fabric is not connected")
         if self.hosts() and not switches:
             raise TopologyError("hosts present but no switches")

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.network.lanes import escape_lane_walk
 from repro.routing.cdg import (
+    DependencyGraph,
+    _segment_channels,
+    _segment_steps,
     channel_dependency_graph,
     find_dependency_cycle,
     is_deadlock_free,
+    iter_segments,
     lanes_required,
 )
 from repro.routing.itb import ItbRouter
@@ -176,3 +186,125 @@ class TestGraphStructure:
         # not channels: no node appears in both chains.
         link = topo.links_between(sw[0], sw[1])[0]
         assert (link.link_id, 0) in g.nodes or (link.link_id, 1) in g.nodes
+
+
+class TestFindCycle:
+    def test_empty_graph_is_acyclic(self):
+        g = DependencyGraph()
+        assert g.find_cycle() is None
+        assert g.number_of_nodes() == g.number_of_edges() == 0
+
+    def test_self_loop_is_a_cycle(self):
+        g = DependencyGraph()
+        g.add_edge("a", "a")
+        assert g.find_cycle() == ["a"]
+
+    def test_first_cycle_in_insertion_order(self):
+        """Two disjoint cycles: the search starts at the first node
+        inserted, so it returns that node's cycle, in edge order."""
+        g = DependencyGraph()
+        for a, b in [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4)]:
+            g.add_edge(a, b)
+        assert g.find_cycle() == [1, 2, 3]
+
+    def test_reconverging_paths_are_not_a_cycle(self):
+        """0 reaches 2 twice (directly and through 1), and 3 reaches the
+        finished 2 again: neither closes a cycle; 3 <-> 4 does."""
+        g = DependencyGraph()
+        for a, b in [(0, 1), (1, 2), (0, 2), (3, 2), (3, 4), (4, 3)]:
+            g.add_edge(a, b)
+        assert g.find_cycle() == [3, 4]
+
+    def test_parallel_edges_collapse(self):
+        g = DependencyGraph()
+        g.add_edge(0, 1)
+        g.add_edge(0, 1)
+        assert g.number_of_edges() == 1
+        assert list(g.nodes) == [0, 1]
+
+
+# -- networkx as an oracle ----------------------------------------------
+
+def _oracle_graph(topo, routes, n_lanes=1, lane_policy="fixed"):
+    """The CDG of ``routes`` as a networkx DiGraph, built edge by edge
+    from the same channel walk the module uses."""
+    laned = n_lanes > 1 and lane_policy == "escape"
+    g = nx.DiGraph()
+    for route in routes:
+        for seg in iter_segments(route):
+            chans = _segment_channels(topo, seg)
+            if laned:
+                lanes = escape_lane_walk(_segment_steps(topo, seg), n_lanes)
+                chans = [(*ch, lane) for ch, lane in zip(chans, lanes)]
+            nx.add_path(g, chans)
+    return g
+
+
+ROUTE_SETS = ("ring-minimal", "ring-clockwise", "updown", "itb",
+              "escape-clockwise", "escape-minimal")
+
+
+@functools.cache
+def _route_sets():
+    """``name -> (topo, routes, n_lanes, lane_policy)`` for the route
+    sets this file builds (:data:`ROUTE_SETS`): cyclic and acyclic,
+    plain, ITB and laned."""
+    ring4, sw4, hosts4 = ring_topology(4)
+    ring6, _sw6, hosts6 = ring_topology(6)
+    minimal = MinimalRouter(ring6)
+    minimal_routes = [minimal.route(s, d) for s in hosts6 for d in hosts6
+                      if s != d]
+    cyclic = cyclic_routes(ring4, sw4, hosts4)
+    itb = ItbRouter(ring6, build_orientation(ring6))
+    return {
+        "ring-minimal": (ring6, minimal_routes, 1, "fixed"),
+        "ring-clockwise": (ring4, cyclic, 1, "fixed"),
+        "updown": (ring6, list(UpDownRouter(ring6).all_pairs().values()),
+                   1, "fixed"),
+        "itb": (ring6, list(itb.all_pairs().values()), 1, "fixed"),
+        "escape-clockwise": (ring4, cyclic, 2, "escape"),
+        "escape-minimal": (ring6, minimal_routes,
+                           lanes_required(ring6, minimal_routes), "escape"),
+    }
+
+
+def _assert_matches_oracle(g: DependencyGraph, oracle: "nx.DiGraph"):
+    assert list(g.nodes) == list(oracle.nodes)
+    assert g.number_of_nodes() == oracle.number_of_nodes()
+    assert g.number_of_edges() == oracle.number_of_edges()
+    cycle = g.find_cycle()
+    assert (cycle is None) == nx.is_directed_acyclic_graph(oracle)
+    if cycle is not None:
+        # A closed walk over existing edges, through distinct nodes.
+        assert len(set(cycle)) == len(cycle)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert oracle.has_edge(a, b)
+
+
+class TestNetworkxOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                    max_size=24))
+    def test_random_edge_lists(self, edges):
+        g = DependencyGraph()
+        oracle = nx.DiGraph()
+        for a, b in edges:
+            g.add_edge(a, b)
+            oracle.add_edge(a, b)
+        _assert_matches_oracle(g, oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ROUTE_SETS), st.data())
+    def test_route_subsets(self, name, data):
+        """Any subset of a route set: the full cyclic sets, and the
+        acyclic subsets hidden inside them."""
+        topo, routes, n_lanes, policy = _route_sets()[name]
+        picked = data.draw(st.lists(st.sampled_from(routes), max_size=12))
+        for subset in (routes, picked):
+            g = channel_dependency_graph(topo, subset, n_lanes=n_lanes,
+                                         lane_policy=policy)
+            _assert_matches_oracle(
+                g, _oracle_graph(topo, subset, n_lanes, policy))
+            assert (find_dependency_cycle(topo, subset, n_lanes=n_lanes,
+                                          lane_policy=policy)
+                    == g.find_cycle())

@@ -87,3 +87,25 @@ class TestRandomDiscovery:
         net = build(topo)
         with pytest.raises(DiscoveryError):
             discover_network(net, sorted(net.gm_hosts)[0], max_probes=3)
+
+
+class TestProbeErrors:
+    def test_dead_ports_read_as_no_cable(self):
+        """A probe through an uncabled port is a bad route: tolerated,
+        and the port reads as dead."""
+        net = build("fig6")
+        m = discover_network(net, net.roles["host1"])
+        sw1 = net.roles["sw1"]
+        for port in range(net.topo.n_ports(sw1)):
+            cabled = net.topo.link_at(sw1, port) is not None
+            assert (m.switch_ports["sw0"][port] is not None) == cabled
+
+    def test_non_topology_error_surfaces(self, monkeypatch):
+        net = build("fig6")
+
+        def broken(src_host, routing_ports):
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(net.topo, "walk_route", broken)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            discover_network(net, net.roles["host1"])

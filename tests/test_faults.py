@@ -7,7 +7,12 @@ import pytest
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.network.faults import FaultEvent, FaultPlan, install_fault_plan
+from repro.network.faults import (
+    FaultEvent,
+    FaultInjector,
+    FaultPlan,
+    install_fault_plan,
+)
 
 
 def build(reliable=True, **kw):
@@ -147,3 +152,77 @@ class TestInjection:
         assert len(failures) == 1
         assert plan.corrupted >= 3  # original + retries all corrupted
         assert a.send_errors == 1
+
+
+def _failing_admit(net, host):
+    """Make ``host``'s firmware raise on admitting a receive waiter;
+    return the list its calls are recorded in."""
+    fw = net.fabric.meta["firmware_by_host"][host]
+    calls = []
+
+    def admit():
+        calls.append(net.sim.now)
+        raise RuntimeError("admit failed")
+
+    fw._admit_recv_waiter = admit
+    return calls
+
+
+def _step_until_claimed(net, link_id, buffered):
+    """Run until a worm claims ``link_id`` while the receiving NIC of
+    host2 holds ``buffered`` packets; return that NIC."""
+    dst = net.nic("host2")
+    t = 0.0
+    while True:
+        t += 50.0
+        net.sim.run(until=t)
+        assert t < 1_000_000, "no worm reached the delivery cable"
+        claimed = any(net.fabric._claimed_by.get((link_id, d, 0))
+                      for d in (0, 1))
+        if claimed and dst.recv_buffers.n_packets == buffered:
+            return dst
+
+
+class TestFaultPathErrors:
+    """The fault path tolerates exactly one error: releasing a receive
+    buffer the packet does not hold.  Anything else surfaces."""
+
+    def _kill_setup(self):
+        net = build(reliable=True)
+        injector = FaultInjector(net, FaultPlan())
+        host2 = net.roles["host2"]
+        net.gm("host1").send(host2, 4096, tag=1)
+        return net, injector, net.topo.host_link(host2).link_id
+
+    def test_admit_error_during_link_down_kill_surfaces(self):
+        net, injector, link_id = self._kill_setup()
+        dst = _step_until_claimed(net, link_id, buffered=1)
+        calls = _failing_admit(net, net.roles["host2"])
+        with pytest.raises(RuntimeError, match="admit failed"):
+            injector._apply(FaultEvent(kind="link-down", target=link_id,
+                                       at_ns=net.sim.now))
+        # The buffer was released before the waiter hand-off failed.
+        assert dst.recv_buffers.n_packets == 0
+        assert len(calls) == 1
+
+    def test_kill_before_buffer_claim_is_tolerated(self):
+        """Cut before the header reached host2: the release finds
+        nothing to free, and no waiter is admitted for it."""
+        net, injector, link_id = self._kill_setup()
+        _step_until_claimed(net, link_id, buffered=0)
+        calls = _failing_admit(net, net.roles["host2"])
+        injector._apply(FaultEvent(kind="link-down", target=link_id,
+                                   at_ns=net.sim.now))
+        assert injector.plan.killed_in_flight == 1
+        assert calls == []
+
+    def test_admit_error_after_corruption_surfaces(self):
+        net = build(reliable=True)
+        plan = FaultPlan(corrupt_probability=1.0, seed=2)
+        install_fault_plan(net, plan)
+        calls = _failing_admit(net, net.roles["host2"])
+        net.gm("host1").send(net.roles["host2"], 256)
+        with pytest.raises(RuntimeError, match="admit failed"):
+            net.sim.run(until=10_000_000)
+        assert plan.corrupted == 1
+        assert len(calls) == 1

@@ -203,3 +203,49 @@ class TestValidate:
         with pytest.raises(TopologyError):
             topo.connect(h1, 0, h2, 0)  # host-to-host cabling
             topo.validate()
+
+    def test_loopbacks_alone_do_not_connect(self):
+        """Two switches, each cabled only to itself: not connected."""
+        topo = Topology()
+        s1 = topo.add_switch()
+        s2 = topo.add_switch()
+        topo.connect(s1, 0, s1, 1)
+        topo.connect(s2, 0, s2, 1)
+        with pytest.raises(TopologyError, match="not connected"):
+            topo.validate()
+
+    def test_loopback_plus_one_cable_connected(self):
+        topo = Topology()
+        s1 = topo.add_switch()
+        s2 = topo.add_switch()
+        topo.connect(s1, 0, s1, 1)
+        topo.connect(s1, 2, s2, 0)
+        topo.validate()
+
+    def test_parallel_cables_connected(self):
+        topo = Topology()
+        s1 = topo.add_switch()
+        s2 = topo.add_switch()
+        for port in range(3):
+            topo.connect(s1, port, s2, port)
+        topo.validate()
+
+    def test_two_islands_not_connected(self):
+        """Every switch has a neighbour, but the search from the first
+        switch never reaches the second pair."""
+        topo = Topology()
+        s = [topo.add_switch() for _ in range(4)]
+        topo.connect(s[0], 0, s[1], 0)
+        topo.connect(s[2], 0, s[3], 0)
+        with pytest.raises(TopologyError, match="not connected"):
+            topo.validate()
+        topo.connect(s[1], 1, s[2], 1)
+        topo.validate()
+
+    def test_growth_after_validate_is_seen(self, basic):
+        """A switch added after a passing check is not yet cabled."""
+        topo = basic[0]
+        topo.validate()
+        topo.add_switch()
+        with pytest.raises(TopologyError, match="not connected"):
+            topo.validate()

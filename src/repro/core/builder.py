@@ -7,7 +7,7 @@ the object the examples, tests, and experiment harness all drive.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from repro.core.config import FirmwareKind, NetworkConfig, RoutingKind
 from repro.core.timings import Timings
@@ -25,9 +25,6 @@ from repro.sim.trace import Trace
 from repro.topology.generators import fig1_topology, fig6_testbed
 from repro.topology.graph import Topology
 
-if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
-    from repro.routing.cache import RouteCache
-
 __all__ = ["BuiltNetwork", "build_network"]
 
 _FIRMWARES = {
@@ -37,9 +34,9 @@ _FIRMWARES = {
 
 #: Installed by :func:`repro.obs.tracing.configure`: a zero-argument
 #: callable returning a fresh span tracer, attached as
-#: ``fabric.tracer`` on every build.  Module-level (like the runner's
-#: worker cache) so forked pool workers inherit the setting; ``None``
-#: keeps tracing disabled with zero overhead.
+#: ``fabric.tracer`` on every build.  Module-level so forked pool
+#: workers inherit the setting; ``None`` keeps tracing disabled with
+#: zero overhead.
 tracer_factory = None
 
 
@@ -138,7 +135,6 @@ def build_network(
     firmware: Optional[Union[str, FirmwareKind]] = None,
     routing: Optional[Union[str, RoutingKind]] = None,
     timings: Optional[Timings] = None,
-    route_cache: Optional["RouteCache"] = None,
     host_policy=None,
 ) -> BuiltNetwork:
     """Build a complete simulated installation.
@@ -153,17 +149,11 @@ def build_network(
     route_overrides:
         Hand-built routes for specific host pairs, stamped over the
         mapper output.
-    route_cache:
-        Optional :class:`~repro.routing.cache.RouteCache`: the mapper
-        serves the all-pairs route tables from it instead of
-        recomputing them per build (the experiment runner passes a
-        shared cache so repeated points pay the route cost once).
     host_policy:
         Optional in-transit host chooser for ITB routing (a
         :class:`~repro.routing.selectors.Selector` or plain
         :data:`~repro.routing.itb.HostPolicy`); forwarded to the
-        mapper, which bypasses the shared route cache for
-        policy-dependent tables.
+        mapper.
     """
     if config is None:
         config = NetworkConfig()
@@ -209,7 +199,7 @@ def build_network(
 
     orientation = run_mapper(
         topo, nics, routing=config.routing.value,
-        overrides=route_overrides, root=config.root, cache=route_cache,
+        overrides=route_overrides, root=config.root,
         host_policy=host_policy,
     )
     return BuiltNetwork(

@@ -5,9 +5,7 @@ definitions, and one :class:`Runner` that owns the single
 build → observe → measure → summarize → persist path every experiment
 takes.  ``Runner`` can fan independent measurement points out over a
 ``multiprocessing`` pool (``jobs > 1``) while keeping results
-byte-identical to a serial run, and warms a shared
-:class:`~repro.routing.cache.RouteCache` so structurally identical
-route tables are computed at most once per run.
+byte-identical to a serial run.
 """
 
 from repro.exp.registry import (CliOption, Experiment, get_experiment,

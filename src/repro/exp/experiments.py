@@ -11,11 +11,10 @@ reproduce the legacy subcommand options and report tables, so
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.exp.registry import CliOption, Experiment, register_experiment
 from repro.exp.spec import ExperimentSpec
-from repro.topology.graph import Topology
 
 __all__ = [
     "AblationBufpoolExperiment",
@@ -35,22 +34,6 @@ __all__ = [
 
 #: The abbreviated ladder the CLI uses without ``--full``.
 QUICK_SIZES: tuple[int, ...] = (16, 128, 1024, 4096)
-
-
-def _fig6_topology() -> Topology:
-    from repro.topology.generators import fig6_testbed
-
-    topo, _roles = fig6_testbed()
-    return topo
-
-
-def _random_topology(spec: ExperimentSpec) -> Topology:
-    from repro.topology.generators import random_irregular
-
-    return random_irregular(
-        spec.n_switches, seed=spec.topo_seed,
-        hosts_per_switch=spec.hosts_per_switch,
-    )
 
 
 def _sizes_from_args(args: Any) -> tuple[int, ...]:
@@ -92,11 +75,6 @@ class Fig7Experiment(Experiment):
         from repro.harness.fig7 import Fig7Result
 
         return Fig7Result(rows=list(results), iterations=spec.iterations)
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        yield (_fig6_topology(), "updown", None)
 
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         return self.default_spec().replace(
@@ -153,11 +131,6 @@ class Fig8Experiment(Experiment):
         from repro.harness.fig8 import Fig8Result
 
         return Fig8Result(rows=list(results), iterations=spec.iterations)
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        yield (_fig6_topology(), "updown", None)
 
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         return self.default_spec().replace(
@@ -246,13 +219,6 @@ class ThroughputExperiment(Experiment):
             n_switches=spec.n_switches, packet_size=spec.packet_size,
             seed=spec.topo_seed, points=list(results),
         )
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        topo = _random_topology(spec)
-        for routing in spec.routings:
-            yield (topo, routing, None)
 
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         return self.default_spec().replace(
@@ -384,13 +350,6 @@ class VcStudyExperiment(Experiment):
             rows=rows,
         )
 
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        topo, arms = self._arms(spec)
-        for routing in sorted({arm.routing for arm in arms}):
-            yield (topo, routing, None)
-
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         spec = self.default_spec().replace(
             n_switches=args.switches,
@@ -483,13 +442,6 @@ class AppsExperiment(Experiment):
         from repro.harness.apps import AppsResult
 
         return AppsResult(results=list(results))
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        topo = _random_topology(spec)
-        yield (topo, "updown", None)
-        yield (topo, "itb", None)
 
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         return self.default_spec().replace(
@@ -629,11 +581,6 @@ class AblationLoadExperiment(Experiment):
             overhead_loaded_ns=2.0 * (ud_itb - ud),
         )
 
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        yield (_fig6_topology(), "updown", None)
-
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         return self.default_spec().replace(
             sizes=(args.size,), iterations=args.iterations,
@@ -771,11 +718,6 @@ class AblationTimingExperiment(Experiment):
 
         return TimingSweepResult(rows=list(results))
 
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        yield (_fig6_topology(), "updown", None)
-
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         return self.default_spec().replace(
             sizes=(args.size,), iterations=args.iterations,
@@ -861,11 +803,6 @@ class FaultCampaignExperiment(Experiment):
             n_messages=int(spec.params["messages"]),
             message_size=spec.message_size,
         )
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        yield (_fig6_topology(), "itb", None)
 
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         return self.default_spec().replace(
@@ -984,20 +921,6 @@ class ScaleStudyExperiment(Experiment):
             topo_seed=spec.topo_seed,
             rows=list(results),
         )
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        from repro.harness.scale_study import family_topology
-
-        dynamic_max = int(spec.params.get("dynamic_max", 64))
-        for family in spec.params["families"]:
-            for target in spec.params["targets"]:
-                if target > dynamic_max:
-                    continue
-                topo = family_topology(family, target, spec.topo_seed)
-                for routing in spec.routings:
-                    yield (topo, routing, None)
 
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         spec = self.default_spec().replace(
@@ -1155,14 +1078,6 @@ class AdaptiveItbExperiment(Experiment):
             hosts_per_switch=spec.hosts_per_switch,
             rows=list(results),
         )
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        for n in spec.params["switch_list"]:
-            yield (
-                _random_topology(spec.replace(n_switches=n)), "itb", None,
-            )
 
     def spec_from_args(self, args: Any) -> ExperimentSpec:
         from repro.routing.selectors import SELECTOR_NAMES

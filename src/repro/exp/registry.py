@@ -12,10 +12,9 @@ generates its experiment subcommands from the same registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.exp.spec import ExperimentSpec
-from repro.topology.graph import Topology
 
 __all__ = [
     "CliOption",
@@ -55,9 +54,6 @@ class Experiment:
     CLI integration hooks (:attr:`cli_options`, :meth:`spec_from_args`,
     :meth:`render`) let the command-line interface generate one
     subcommand per registered experiment from this same definition.
-    Route warm-up (:meth:`route_requirements`) tells the runner which
-    route tables the points share so the cache can be warmed before
-    forking.
     """
 
     #: Registered name (set by :func:`register_experiment`).
@@ -88,17 +84,6 @@ class Experiment:
         """Merge the ordered point results into the experiment's
         result object (always runs in the parent)."""
         raise NotImplementedError
-
-    def route_requirements(
-        self, spec: ExperimentSpec
-    ) -> Iterable[tuple[Topology, str, Optional[int]]]:
-        """``(topology, routing, root)`` combos the points will need.
-
-        The runner warms the shared route cache with these in the
-        parent process before fanning points out, so each shared table
-        is computed at most once no matter how many workers run.
-        """
-        return ()
 
     # -- CLI hooks ---------------------------------------------------------
 

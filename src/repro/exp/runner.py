@@ -5,16 +5,14 @@ through :class:`Runner`: it resolves the registered definition,
 expands the spec into independent measurement points, executes them
 (serially, or fanned out over a ``multiprocessing`` pool with
 ``jobs > 1``), merges the results **deterministically by point
-index**, and summarizes.  A shared
-:class:`~repro.routing.cache.RouteCache` is warmed in the parent
-before any fork, so structurally identical route tables are computed
-at most once per run regardless of worker count.
+index**, and summarizes.  Every point builds its own network, and the
+mapper computes that network's routes.
 
 Parallel execution notes:
 
-* Workers are forked (``fork`` start method), inheriting the warmed
-  route cache and the experiment registry; on platforms without
-  ``fork`` the runner falls back to serial execution.
+* Workers are forked (``fork`` start method), inheriting the
+  experiment registry; on platforms without ``fork`` the runner falls
+  back to serial execution.
 * Point results are merged by index, so a parallel run returns
   byte-identical persisted documents to a serial run of the same spec
   (the simulation itself is deterministic).
@@ -30,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.builder import BuiltNetwork, build_network
-from repro.exp.registry import Experiment, get_experiment
+from repro.exp.registry import get_experiment
 from repro.exp.spec import ExperimentSpec
-from repro.routing.cache import RouteCache, default_route_cache
 
 __all__ = ["PointContext", "Runner", "RunReport", "fork_map",
            "run_experiment"]
@@ -42,16 +39,14 @@ class PointContext:
     """Per-point services the runner hands to ``measure``.
 
     ``ctx.build(...)`` is the uniform build path: it forwards to
-    :func:`~repro.core.builder.build_network` with the shared route
-    cache injected and — when the spec asks for observation — attaches
-    the unified telemetry registry to the built network, recording a
-    compact metric summary per build in :attr:`observations`.
+    :func:`~repro.core.builder.build_network` and — when the spec asks
+    for observation — attaches the unified telemetry registry to the
+    built network, recording a compact metric summary per build in
+    :attr:`observations`.
     """
 
-    def __init__(self, spec: ExperimentSpec,
-                 cache: Optional[RouteCache] = None) -> None:
+    def __init__(self, spec: ExperimentSpec) -> None:
         self.spec = spec
-        self.cache = cache
         self.observations: list[dict] = []
         self._instrumented: list = []
         self._fabrics: list = []
@@ -60,14 +55,12 @@ class PointContext:
         """Build a network for this point through the single shared path."""
         if topo is None:
             topo = self.spec.topology
-        kwargs.setdefault("route_cache", self.cache)
         net = build_network(topo, **kwargs)
         self._fabrics.append(net.fabric)
         if self.spec.observe:
             from repro.obs.attach import instrument_network
 
-            telemetry = instrument_network(net, fabric_usage=False,
-                                           route_cache=self.cache)
+            telemetry = instrument_network(net, fabric_usage=False)
             self._instrumented.append(telemetry)
         return net
 
@@ -114,7 +107,6 @@ class RunReport:
     n_points: int
     jobs: int
     elapsed_s: float
-    cache_stats: dict = field(default_factory=dict)
     observations: list = field(default_factory=list)
     #: Worm express-lane counters summed across every point (execution
     #: metadata — never part of the persisted result document).
@@ -131,8 +123,8 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any],
 
     The package's one process pool: :class:`Runner` and
     :func:`repro.harness.sweep.sweep` both fan out through it.  Workers
-    are forked, so they inherit the parent's module state (the warmed
-    route cache, the experiment registry) copy-on-write; ``fn`` must be
+    are forked, so they inherit the parent's module state (the
+    experiment registry) copy-on-write; ``fn`` must be
     a module-level function and every item and result must pickle.
     ``pool.map`` returns results in input order, so callers merge by
     index, never by completion.  Runs serially in this process with
@@ -146,18 +138,13 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any],
         return pool.map(fn, items)
 
 
-# Module-level worker state, inherited by forked pool workers (shared
-# synchronization primitives cannot be passed through Pool arguments).
-_worker_cache: Optional[RouteCache] = None
-
-
 def _measure_point(payload: tuple[ExperimentSpec, int, dict]
                    ) -> tuple[int, Any, list, dict, list]:
     """Evaluate one point (entry point for pool workers and the serial
     path alike, so both execute the exact same code)."""
     spec, index, point = payload
     exp = get_experiment(spec.experiment)
-    ctx = PointContext(spec, cache=_worker_cache)
+    ctx = PointContext(spec)
     value = exp.measure(spec, point, ctx)
     ctx.finalize_observations()
     return index, value, ctx.observations, ctx.express_summary(), ctx.span_dumps()
@@ -166,9 +153,7 @@ def _measure_point(payload: tuple[ExperimentSpec, int, dict]
 class Runner:
     """Executes :class:`ExperimentSpec`\\ s through the shared pipeline."""
 
-    def __init__(self, cache: Optional[RouteCache] = None,
-                 jobs: int = 1) -> None:
-        self.cache = cache if cache is not None else default_route_cache()
+    def __init__(self, jobs: int = 1) -> None:
         self.jobs = jobs
 
     # ------------------------------------------------------------------
@@ -206,15 +191,8 @@ class Runner:
 
         t0 = time.perf_counter()
         points = exp.points(spec)
-        self._warm_routes(exp, spec)
         payloads = [(spec, i, p) for i, p in enumerate(points)]
-
-        global _worker_cache
-        _worker_cache = self.cache
-        try:
-            outcomes = fork_map(_measure_point, payloads, jobs)
-        finally:
-            _worker_cache = None
+        outcomes = fork_map(_measure_point, payloads, jobs)
 
         # Deterministic merge: results ordered by point index.
         outcomes.sort(key=lambda item: item[0])
@@ -238,7 +216,6 @@ class Runner:
             n_points=len(points),
             jobs=jobs,
             elapsed_s=time.perf_counter() - t0,
-            cache_stats=self.cache.stats(),
             observations=observations,
             express=express,
             span_dumps=span_dumps,
@@ -251,19 +228,11 @@ class Runner:
             report.saved_to = str(path)
         return report
 
-    # ------------------------------------------------------------------
-
-    def _warm_routes(self, exp: Experiment, spec: ExperimentSpec) -> None:
-        for topo, routing, root in exp.route_requirements(spec):
-            self.cache.warm(topo, routing, root=root)
-
 
 def run_experiment(
     spec: Union[str, ExperimentSpec],
     jobs: int = 1,
-    cache: Optional[RouteCache] = None,
     save: Optional[str] = None,
 ) -> Any:
     """Convenience wrapper: run a spec, return just the result object."""
-    runner = Runner(cache=cache)
-    return runner.run(spec, jobs=jobs, save=save).result
+    return Runner().run(spec, jobs=jobs, save=save).result

@@ -24,7 +24,6 @@ from repro.topology.graph import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.core.builder import BuiltNetwork
-    from repro.routing.cache import RouteCache
 
 __all__ = ["ItbReselector", "remap_tables", "run_mapper"]
 
@@ -37,7 +36,6 @@ def run_mapper(
     overrides: Optional[Mapping[tuple[int, int],
                                 Union[SourceRoute, ItbRoute]]] = None,
     root: Optional[int] = None,
-    cache: Optional["RouteCache"] = None,
     host_policy: Optional[HostPolicy] = None,
 ) -> UpDownOrientation:
     """Compute and stamp route tables into every NIC.
@@ -54,35 +52,14 @@ def run_mapper(
         output, so the harness overrides exactly those pairs.
     root:
         Optional spanning-tree root (defaults to min-eccentricity).
-    cache:
-        Optional :class:`~repro.routing.cache.RouteCache`; when given
-        (and no explicit ``orientation`` is forced) the all-pairs
-        route computation is served from — and recorded into — the
-        cache, so repeated builds of structurally identical networks
-        stop recomputing the spanning tree and routes.
     host_policy:
         Optional in-transit host chooser for the ITB router (a
         :class:`~repro.routing.selectors.Selector` or any
-        :data:`~repro.routing.itb.HostPolicy`).  A non-default policy
-        makes the tables policy-dependent, so the shared route cache
-        is bypassed for this build — cache entries always hold the
-        static placement (the zero-load oracle every policy must
-        reproduce at occupancy 0).
+        :data:`~repro.routing.itb.HostPolicy`).
 
     Returns the orientation used (shared by both routings so they agree
     on link directions).
     """
-    if host_policy is not None and routing == "itb":
-        cache = None
-    if cache is not None and orientation is None:
-        orientation, tables = cache.tables_for(topo, routing, root=root)
-        if overrides:
-            for (s, d), route in overrides.items():
-                tables[s].install(d, route)
-        for host in sorted(nics):
-            nics[host].route_table = tables[host]
-        return orientation
-
     if orientation is None:
         orientation = build_orientation(topo, root=root)
     if routing == "updown":
@@ -303,9 +280,7 @@ class ItbReselector:
         (:meth:`~repro.routing.itb.ItbRouter.adopt_plan`).  So the
         reselector never re-runs path enumeration or the legalization
         Dijkstra for pairs the mapper already routed, and a pass stamps
-        routes from templates into the per-pair route memo.  Served off
-        the shared route-cache entry when the network was built through
-        one (the tables *are* that entry's routes).
+        routes from templates into the per-pair route memo.
         """
         topo = self.net.topo
         for src in sorted(self.net.nics):

@@ -35,10 +35,6 @@ busiest directed channel carrying ``max_load`` of the H*(H-1) routes
 saturates first, at per-host rate ``link_rate * (H - 1) /
 max_load``.  Larger is better; up*/down*'s root concentration shows
 up directly as a shrinking bound while ITB's spread keeps it flat.
-
-Static metrics use transient routers (not the shared route cache) so
-a 512-switch sweep does not pin hundreds of thousands of routes in
-the LRU; dynamic points go through the normal cached build path.
 """
 
 from __future__ import annotations

@@ -87,8 +87,8 @@ def build_load_network(
     In-transit hosts use the proposed circular buffer pool (per [2,3]
     the load studies assume ejected packets are always accepted, with
     flush-beyond-saturation), and host-noise is disabled so curves are
-    smooth.  ``build`` lets the experiment pipeline inject its cached
-    build path.  ``lanes`` / ``lane_policy`` configure virtual-channel
+    smooth.  ``build`` lets the experiment pipeline inject its build
+    path.  ``lanes`` / ``lane_policy`` configure virtual-channel
     lanes on the fabric (the ``vc-study`` arms); the single-lane
     default is the paper's stock switch.
     """

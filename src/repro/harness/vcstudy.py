@@ -146,12 +146,12 @@ def study_topology(n_switches: int, topo_seed: int,
 
 
 def _all_pairs_routes(topo: Topology, routing: str) -> list:
-    """All-pairs routes as the mapper would stamp them, via the shared
-    route cache (so repeated analyses and builds pay the cost once)."""
-    from repro.routing.cache import default_route_cache
+    """All-pairs routes as the mapper would stamp them."""
+    from repro.routing import ItbRouter, MinimalRouter, UpDownRouter
 
-    _orientation, pairs = default_route_cache().routes_for(topo, routing)
-    return list(pairs.values())
+    router = {"updown": UpDownRouter, "itb": ItbRouter,
+              "minimal": MinimalRouter}[routing](topo)
+    return list(router.itb_all_pairs().values())
 
 
 def vc_lanes_for(topo: Topology) -> int:

@@ -28,10 +28,6 @@ Metric catalog (see ``docs/OBSERVABILITY.md`` for details):
   host GM reliability counters (see ``docs/RELIABILITY.md``),
 * ``faults_injected`` / ``remap_events`` / ``fault_*`` — fault-plan
   counters, zero (and filtered from snapshots) without a plan,
-* ``route_cache_{hits,misses,evictions}`` / ``route_cache_entries`` /
-  ``route_cache_batch_hits`` — shared route-cache behaviour (attached
-  when a cache is passed); batch hits count per-source route trees
-  served whole off a warm batched entry,
 * ``itb_reselect_{runs,forced,pairs_changed,decisions,engaged}`` —
   adaptive ITB host-selection counters, resolved lazily from the
   attached :class:`~repro.gm.mapper.ItbReselector` (zero, and
@@ -55,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.core.builder import BuiltNetwork
 
 __all__ = ["RegistryCongestionView", "Telemetry", "attach_congestion_view",
-           "attach_route_cache", "instrument_network"]
+           "instrument_network"]
 
 #: Help strings for the NicStats-backed counters.
 _NIC_STAT_HELP = {
@@ -270,41 +266,6 @@ def _attach_express(registry: MetricsRegistry, fabric) -> None:
     )
 
 
-def attach_route_cache(registry: MetricsRegistry, cache) -> None:
-    """Publish a :class:`~repro.routing.cache.RouteCache`'s counters.
-
-    Hits/misses/evictions are shared-memory totals (accurate across
-    forked workers); ``route_cache_entries`` is this process's
-    resident entry count — together they show whether the LRU bound
-    is churning routes that points will recompute.
-    """
-    registry.counter(
-        "route_cache_hits", component="route-cache",
-        help="route lookups served from the shared cache",
-        fn=lambda c=cache: c.hits,
-    )
-    registry.counter(
-        "route_cache_misses", component="route-cache",
-        help="route lookups that computed all-pairs routes",
-        fn=lambda c=cache: c.misses,
-    )
-    registry.counter(
-        "route_cache_evictions", component="route-cache",
-        help="cache entries dropped by the LRU memory bound",
-        fn=lambda c=cache: c.evictions,
-    )
-    registry.counter(
-        "route_cache_batch_hits", component="route-cache",
-        help="per-source route trees served whole off a warm batch entry",
-        fn=lambda c=cache: c.batch_hits,
-    )
-    registry.gauge(
-        "route_cache_entries", component="route-cache",
-        help="distinct route entries resident in this process",
-        fn=lambda c=cache: len(c),
-    )
-
-
 def _attach_fabric(registry: MetricsRegistry,
                    usage: FabricUsage) -> None:
     for cu in usage.channels.values():
@@ -374,7 +335,6 @@ def instrument_network(
     sample_interval_ns: Optional[float] = None,
     profile: bool = False,
     fabric_usage: bool = True,
-    route_cache=None,
 ) -> Telemetry:
     """Attach the unified telemetry stack to a built network.
 
@@ -392,8 +352,6 @@ def instrument_network(
     _attach_express(registry, net.fabric)
     _attach_faults(registry, net.fabric)
     _attach_itb_reselect(registry, net.fabric)
-    if route_cache is not None:
-        attach_route_cache(registry, route_cache)
     if net.fabric.n_lanes > 1:
         _attach_lanes(registry, net.fabric)
     usage: Optional[FabricUsage] = None

@@ -230,7 +230,7 @@ class SpanTracer:
 #: When not ``None``, every network built through
 #: :func:`repro.core.builder.build_network` gets a fresh tracer with
 #: this sampling interval.  Module-level so ``fork``-pool workers of
-#: the experiment runner inherit it, exactly like the route cache.
+#: the experiment runner inherit it.
 _configured_sample_every: Optional[int] = None
 
 

@@ -17,9 +17,7 @@ Implements the routing machinery the paper builds on:
   depth-first search finds when it visits nodes and successors in
   insertion order, or ``None`` for a deadlock-free routing,
 * per-host route tables as stamped into NIC SRAM by the mapper
-  (:mod:`repro.routing.tables`),
-* a process-safe all-pairs route cache shared across experiment
-  points (:mod:`repro.routing.cache`).
+  (:mod:`repro.routing.tables`).
 """
 
 from repro.routing.routes import (
@@ -39,11 +37,6 @@ from repro.routing.cdg import (
     is_deadlock_free,
 )
 from repro.routing.tables import RouteTable, build_route_tables
-from repro.routing.cache import (
-    RouteCache,
-    default_route_cache,
-    topology_signature,
-)
 from repro.routing.selectors import (
     SELECTOR_NAMES,
     CongestionView,
@@ -60,7 +53,6 @@ __all__ = [
     "ItbRouter",
     "MapCongestionView",
     "MinimalRouter",
-    "RouteCache",
     "RouteError",
     "RouteTable",
     "SELECTOR_NAMES",
@@ -72,9 +64,7 @@ __all__ = [
     "build_orientation",
     "build_route_tables",
     "channel_dependency_graph",
-    "default_route_cache",
     "find_dependency_cycle",
     "is_deadlock_free",
     "make_selector",
-    "topology_signature",
 ]

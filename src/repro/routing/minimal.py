@@ -110,8 +110,8 @@ class MinimalRouter:
 
     def __init__(self, topo: Topology, orientation=None) -> None:
         # ``orientation`` is accepted (and ignored) so the router slots
-        # into the mapper/route-cache interface shared with the up*/down*
-        # and ITB routers; minimal routing needs no spanning tree.
+        # into the mapper interface shared with the up*/down* and ITB
+        # routers; minimal routing needs no spanning tree.
         self.topo = topo
 
     def itb_route(self, src_host: int, dst_host: int) -> ItbRoute:

@@ -12,15 +12,18 @@ Section 4 / Figure 3b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol, Union
+from typing import Mapping, Optional, Protocol, Sequence, Union
 
 from repro.routing.routes import ItbRoute, RouteError, SourceRoute
 
 __all__ = ["RouteTable", "build_route_tables"]
 
 
-class _Router(Protocol):  # either UpDownRouter or ItbRouter
-    def itb_route(self, src_host: int, dst_host: int) -> ItbRoute: ...
+class _Router(Protocol):  # UpDownRouter, ItbRouter or MinimalRouter
+    def routes_from(
+        self, src_host: int, dests: Optional[Sequence[int]] = None,
+        strict: bool = True,
+    ) -> Mapping[int, Union[SourceRoute, ItbRoute]]: ...
 
 
 @dataclass
@@ -66,28 +69,19 @@ def build_route_tables(
     """Compute the full set of tables the mapper would distribute.
 
     ``pairs`` may supply precomputed routes (e.g. hand-built test
-    routes); anything missing is computed via the router's batched
-    per-source ``routes_from`` when it offers one (the repo routers all
-    do — one BFS tree per source instead of a search per pair), falling
-    back to per-pair ``itb_route`` for minimal protocol implementations.
-    The router sees destinations in the same order either way, so
-    stateful host policies produce identical tables.
+    routes); the rest come from the router's batched per-source
+    ``routes_from`` (one tree per source instead of a search per
+    pair), which raises rather than leave a pair unrouted.  The router
+    sees each source's destinations in ``hosts`` order, so a stateful
+    host policy makes the same calls on every build.
     """
+    pairs = pairs or {}
     tables = {h: RouteTable(host=h) for h in hosts}
-    batch = getattr(router, "routes_from", None)
     for s in hosts:
-        missing = [d for d in hosts
-                   if d != s and (pairs is None or pairs.get((s, d)) is None)]
-        computed: Mapping[int, Union[SourceRoute, ItbRoute]] = {}
-        if batch is not None and missing:
-            computed = batch(s, dests=missing)
+        missing = [d for d in hosts if d != s and pairs.get((s, d)) is None]
+        computed = router.routes_from(s, dests=missing)
         for d in hosts:
-            if s == d:
-                continue
-            route = None if pairs is None else pairs.get((s, d))
-            if route is None:
-                route = computed.get(d)
-            if route is None:
-                route = router.itb_route(s, d)
-            tables[s].install(d, route)
+            if d != s:
+                route = pairs.get((s, d))
+                tables[s].install(d, computed[d] if route is None else route)
     return tables

@@ -144,8 +144,8 @@ class Topology:
 
         Routing (adjacency, BFS distances) and the query helpers below
         are called per host pair during route computation; memoizing
-        them turns the route-warm phase from quadratic re-derivation
-        into dictionary lookups.
+        them turns the mapper's all-pairs build from quadratic
+        re-derivation into dictionary lookups.
         """
         # setdefault keeps instances deserialized from older pickles working.
         cache = self.__dict__.setdefault("_derived", {})

@@ -25,7 +25,6 @@ from repro.harness.adaptive import (busiest_default_itb_host,
 from repro.harness.throughput import build_load_network
 from repro.harness.workloads import drive_traffic, hotspot_traffic
 from repro.obs.tracing import configure, disable
-from repro.routing.cache import RouteCache
 from repro.routing.cdg import is_deadlock_free
 from repro.routing.itb import first_host_policy
 from repro.routing.routes import RouteError
@@ -234,7 +233,7 @@ class TestZeroLoadOracle:
             params={**exp.default_spec().params,
                     "switch_list": (8,), "view": "zero"},
         )
-        report = Runner(cache=RouteCache()).run(spec)
+        report = Runner().run(spec)
         rows = report.result.rows
         by_matrix = {}
         for row in rows:
@@ -491,7 +490,7 @@ class TestDeterminism:
         spec = self._quick_spec()
         paths = []
         for jobs in (1, 4):
-            report = Runner(cache=RouteCache()).run(spec, jobs=jobs)
+            report = Runner().run(spec, jobs=jobs)
             path = tmp_path / f"jobs{jobs}.json"
             save_results(path, {"adaptive-itb": report.result},
                          specs={"adaptive-itb": spec})

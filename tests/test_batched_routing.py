@@ -4,8 +4,8 @@ The scale-study tentpole rewired route construction around per-source
 trees; the per-pair searches are kept as oracles (``*_pairwise`` in
 ``tests/oracles/``).  These tests pin the equivalence — same routes,
 byte for byte, in the same insertion order — on every topology family
-the repo ships, plus the cache and laziness behaviors that ride on
-the batch path.
+the repo ships, plus the laziness behavior that rides on the batch
+path.
 
 The pairwise ITB oracle plans each pair on its own but stamps through
 the router's ``_make_template`` and ``_route``, so it shares the
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.routing.cache import RouteCache, topology_signature
 from repro.routing.itb import ItbRouter, round_robin_policy
 from repro.routing.minimal import MinimalRouter
 from repro.routing.spanning_tree import build_orientation
@@ -193,46 +192,6 @@ class TestRoutesFromSubsets:
         assert src not in router.routes_from(src)
 
 
-class TestRouteCacheBatch:
-    def test_routes_for_uses_batched_builder(self):
-        topo = random_irregular(10, seed=4)
-        cache = RouteCache(max_entries=4)
-        _orient, pairs = cache.routes_for(topo, "itb")
-        oracle = itb_oracle.all_pairs_pairwise(
-            ItbRouter(topo, build_orientation(topo)))
-        assert pairs == oracle
-
-    def test_routes_from_counts_batch_hits(self):
-        topo = random_irregular(10, seed=4)
-        cache = RouteCache(max_entries=4)
-        src = topo.hosts()[0]
-
-        # Cold: a miss, no batch hit.
-        _o, routes = cache.routes_from(topo, "updown", src)
-        assert cache.stats()["batch_hits"] == 0
-        assert cache.stats()["misses"] == 1
-
-        # Warm per-source entry: a batch hit.
-        _o, again = cache.routes_from(topo, "updown", src)
-        assert again == routes
-        assert cache.stats()["batch_hits"] == 1
-
-        # A warm full table also serves per-source slices as batch hits.
-        _o, pairs = cache.routes_for(topo, "updown")
-        _o, sliced = cache.routes_from(topo, "updown", src)
-        assert cache.stats()["batch_hits"] == 2
-        assert sliced == {d: r for (s, d), r in pairs.items() if s == src}
-
-    def test_batch_hits_in_reset(self):
-        cache = RouteCache(max_entries=2)
-        topo = random_irregular(8, seed=1)
-        cache.routes_from(topo, "updown", topo.hosts()[0])
-        cache.routes_from(topo, "updown", topo.hosts()[0])
-        assert cache.batch_hits == 1
-        cache.reset_stats()
-        assert cache.batch_hits == 0
-
-
 class TestLazyDerivedState:
     def test_build_does_not_compute_distance_maps(self):
         """Constructing and validating a topology must stay O(V+E):
@@ -250,9 +209,3 @@ class TestLazyDerivedState:
             isinstance(k, tuple) and k[0] == "switch_distances"
             for k in topo._derived
         )
-
-    def test_signature_memoized(self):
-        topo = random_irregular(8, seed=6)
-        a = topology_signature(topo)
-        assert "topology_signature" in topo._derived
-        assert topology_signature(topo) == a

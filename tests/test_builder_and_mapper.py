@@ -137,6 +137,32 @@ class TestMapper:
         with pytest.raises(RouteError):
             run_mapper(topo, nics, routing="teleport")
 
+    def test_rebuilds_measure_identically(self):
+        """Two builds of one fabric time a ping-pong to the same
+        nanosecond: the mapper stamps the same routes every time."""
+        first, second = (
+            build_network("fig6").ping_pong("host1", "host2", size=64,
+                                            iterations=3)
+            for _ in range(2))
+        assert first.mean_ns == second.mean_ns
+
+    def test_override_stays_in_its_build(self):
+        """A route installed into one build's table never shows in
+        another build of the same topology."""
+        from repro.topology.generators import fig1_topology
+
+        topo, roles = fig1_topology()
+        src, dst = roles["host_on_sw4"], roles["host_on_sw1"]
+        first, second = (build_network(topo, routing="updown")
+                         for _ in range(2))
+        itb_net = build_network(topo, routing="itb")
+        itb = itb_net.nics[src].route_table.lookup(dst)
+        updown = second.nics[src].route_table.lookup(dst)
+        assert itb != updown
+        first.nics[src].route_table.install(dst, itb)
+        assert first.nics[src].route_table.lookup(dst) is itb
+        assert second.nics[src].route_table.lookup(dst) is updown
+
     def test_mapper_on_random_topology(self):
         topo = random_irregular(8, seed=2)
         net = build_network(topo, routing="itb")

@@ -10,10 +10,14 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _walk_modules():
@@ -73,7 +77,47 @@ class TestPublicApiDocstrings:
         assert not missing, f"undocumented public methods: {missing}"
 
 
+def _resolves(dotted: str) -> bool:
+    """True when ``dotted`` names an importable module, or an attribute
+    path under the longest importable prefix."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
 class TestProjectDocs:
+    def test_doc_references_resolve(self):
+        """Every ``repro.…`` name and repo path the prose docs cite
+        exists (``docs/PERF.md`` is a dated ledger and is skipped)."""
+        docs = [ROOT / name for name in ("README.md", "DESIGN.md",
+                                         "EXPERIMENTS.md")]
+        docs += [p for p in sorted((ROOT / "docs").glob("*.md"))
+                 if p.name != "PERF.md"]
+        dotted = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+        path = re.compile(r"(?<![\w./-])"
+                          r"(?:src|tests|benchmarks|docs|tools|examples)/"
+                          r"[\w./*-]*")
+        stale = []
+        for doc in docs:
+            text = doc.read_text()
+            stale += [f"{doc.name}: {name}"
+                      for name in sorted(set(dotted.findall(text)))
+                      if not _resolves(name)]
+            stale += [f"{doc.name}: {ref}"
+                      for ref in sorted({m.rstrip(".")
+                                         for m in path.findall(text)})
+                      if not any(ROOT.glob(ref))]
+        assert not stale, f"stale doc references: {stale}"
+
     def test_top_level_docs_exist(self):
         from pathlib import Path
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.timings import Timings
 from repro.exp import (ExperimentSpec, Runner, get_experiment,
                        list_experiments, run_experiment)
-from repro.routing.cache import RouteCache
 
 #: A small spec with several independent points — cheap enough for a
 #: parallel-vs-serial comparison, rich enough to exercise the merge.
@@ -59,23 +58,22 @@ class TestSpec:
 class TestRunner:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            Runner(cache=RouteCache()).run(SWEEP_SPEC, jobs=0)
+            Runner().run(SWEEP_SPEC, jobs=0)
 
     def test_accepts_experiment_name(self):
-        report = Runner(cache=RouteCache()).run(
+        report = Runner().run(
             get_experiment("root-study").default_spec().replace(
                 n_switches=8))
         assert len(report.result.rows) == 2
 
     def test_on_point_fires_in_order(self):
         seen = []
-        Runner(cache=RouteCache()).run(
-            SWEEP_SPEC, on_point=lambda i, v: seen.append(i))
+        Runner().run(SWEEP_SPEC, on_point=lambda i, v: seen.append(i))
         assert seen == [0, 1, 2, 3]
 
     def test_observe_collects_metrics(self):
         spec = SWEEP_SPEC.replace(rates=(0.02,), observe=True)
-        report = Runner(cache=RouteCache()).run(spec)
+        report = Runner().run(spec)
         assert len(report.observations) == 1
         snapshot = report.observations[0][0]
         assert snapshot  # nonzero metric totals recorded
@@ -89,22 +87,13 @@ class TestParallelDeterminism:
     def test_persisted_documents_byte_identical(self, tmp_path):
         p1 = tmp_path / "jobs1.json"
         p4 = tmp_path / "jobs4.json"
-        Runner(cache=RouteCache()).run(SWEEP_SPEC, jobs=1, save=str(p1))
-        Runner(cache=RouteCache()).run(SWEEP_SPEC, jobs=4, save=str(p4))
+        Runner().run(SWEEP_SPEC, jobs=1, save=str(p1))
+        Runner().run(SWEEP_SPEC, jobs=4, save=str(p4))
         assert p1.read_bytes() == p4.read_bytes()
 
-    def test_shared_table_computed_at_most_once(self):
-        """4 points, 4 workers, 1 shared route table: exactly one
-        miss (the parent warm-up), every point a hit."""
-        cache = RouteCache()
-        report = Runner(cache=cache).run(SWEEP_SPEC, jobs=4)
-        assert report.n_points == 4
-        assert cache.misses == 1
-        assert cache.hits >= 4
-
     def test_merged_result_matches_serial(self):
-        serial = Runner(cache=RouteCache()).run(SWEEP_SPEC, jobs=1)
-        parallel = Runner(cache=RouteCache()).run(SWEEP_SPEC, jobs=4)
+        serial = Runner().run(SWEEP_SPEC, jobs=1)
+        parallel = Runner().run(SWEEP_SPEC, jobs=4)
         a = [(p.routing, p.accepted, p.mean_latency_ns)
              for p in serial.result.points]
         b = [(p.routing, p.accepted, p.mean_latency_ns)
@@ -113,8 +102,8 @@ class TestParallelDeterminism:
 
 
 class TestPipelineMatchesDirectMeasurement:
-    """The Runner adds caching and orchestration, not different
-    numbers: pipeline output equals a bare direct measurement."""
+    """The Runner adds orchestration, not different numbers:
+    pipeline output equals a bare direct measurement."""
 
     def test_fig7_identical_to_direct(self):
         from repro.core.builder import build_network
@@ -131,7 +120,6 @@ class TestPipelineMatchesDirectMeasurement:
     def test_run_experiment_convenience(self):
         result = run_experiment(
             ExperimentSpec(experiment="fig8", sizes=(16,), iterations=2),
-            cache=RouteCache(),
         )
         assert len(result.rows) == 1
         assert result.rows[0].overhead_ns > 0

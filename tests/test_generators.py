@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.routing.cache import topology_signature
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import (
     clos,
@@ -22,6 +21,12 @@ from repro.topology.generators import (
     random_irregular_scaled,
 )
 from repro.topology.graph import PortKind, TopologyError
+
+
+def structure(topo):
+    """Node kinds and port counts, then link endpoints and kinds."""
+    return ([(topo.kind(n), topo.n_ports(n)) for n in range(topo.n_nodes)],
+            [(link.endpoints(), link.kind) for link in topo.links])
 
 
 class TestFig6:
@@ -144,8 +149,8 @@ class TestRandomIrregular:
                   "116b82787cad40291813cd891f715d7d"),
     ])
     def test_cabling_is_byte_stable(self, n, seed, digest):
-        """Goldens, route-cache signatures and the perf workloads' fabrics
-        rest on this generator's exact output, so its links are pinned."""
+        """Goldens and the perf workloads' fabrics rest on this
+        generator's exact output, so its links are pinned."""
         topo = random_irregular(n, seed=seed, hosts_per_switch=2)
         links = repr([l.endpoints() for l in topo.links]).encode()
         assert hashlib.sha256(links).hexdigest() == digest
@@ -203,7 +208,7 @@ class TestClos:
 
     def test_deterministic(self):
         a, b = clos(m=3, n=1, r=5), clos(m=3, n=1, r=5)
-        assert topology_signature(a) == topology_signature(b)
+        assert structure(a) == structure(b)
 
 
 class TestFatTree:
@@ -241,7 +246,7 @@ class TestFatTree:
 
     def test_deterministic(self):
         a, b = fat_tree(k=4), fat_tree(k=4)
-        assert topology_signature(a) == topology_signature(b)
+        assert structure(a) == structure(b)
 
 
 class TestRandomIrregularScaled:
@@ -259,12 +264,12 @@ class TestRandomIrregularScaled:
     def test_deterministic_for_seed(self):
         a = random_irregular_scaled(40, seed=3)
         b = random_irregular_scaled(40, seed=3)
-        assert topology_signature(a) == topology_signature(b)
+        assert structure(a) == structure(b)
 
     def test_different_seeds_differ(self):
         a = random_irregular_scaled(40, seed=3)
         b = random_irregular_scaled(40, seed=4)
-        assert topology_signature(a) != topology_signature(b)
+        assert structure(a) != structure(b)
 
     def test_scales_beyond_legacy_generator(self):
         # The legacy generator's quadratic rejection sampling made
@@ -286,7 +291,7 @@ class TestMakeTopology:
     def test_normalizes_spelling(self):
         a = make_topology("fat_tree:k=4")
         b = make_topology("fattree:k=4")
-        assert topology_signature(a) == topology_signature(b)
+        assert structure(a) == structure(b)
 
     def test_rejects_unknown(self):
         with pytest.raises(TopologyError):

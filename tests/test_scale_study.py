@@ -14,7 +14,6 @@ from repro.harness.scale_study import (
     fat_tree_k_for,
     measure_scale_point,
 )
-from repro.routing.cache import RouteCache
 
 
 def _quick_spec(**params):
@@ -92,7 +91,7 @@ class TestMeasureScalePoint:
 class TestQuickRun:
     def test_quick_study_end_to_end(self, tmp_path):
         path = tmp_path / "scale.json"
-        report = Runner(cache=RouteCache()).run(
+        report = Runner().run(
             _quick_spec(), save=str(path))
         result = report.result
         assert isinstance(result, ScaleStudyResult)
@@ -110,7 +109,7 @@ class TestQuickRun:
     def test_render_mentions_ratio(self):
         exp = get_experiment("scale-study")
         spec = _quick_spec()
-        report = Runner(cache=RouteCache()).run(spec)
+        report = Runner().run(spec)
         text = exp.render(spec, report.result, args=None)
         assert "EXP-SCALE" in text
         assert "saturation" in text

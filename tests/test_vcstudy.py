@@ -11,7 +11,6 @@ from repro.harness.vcstudy import (
     study_topology,
     vc_lanes_for,
 )
-from repro.routing.cache import RouteCache
 
 
 def _quick_spec():
@@ -60,7 +59,7 @@ class TestQuickRun:
 
     def test_quick_study_end_to_end(self, tmp_path):
         path = tmp_path / "vc.json"
-        report = Runner(cache=RouteCache()).run(
+        report = Runner().run(
             _quick_spec(), save=str(path))
         result = report.result
         assert isinstance(result, VcStudyResult)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.harness.report import format_table
 from repro.harness.throughput import build_load_network
 from repro.harness.workloads import drive_traffic
-from repro.network.instrumentation import attach_usage_meter
+from repro.network.instrumentation import FabricUsage
 from repro.topology.generators import random_irregular
 
 
@@ -26,7 +26,7 @@ def test_bench_balance(benchmark, scale):
         for routing in ("updown", "itb"):
             topo = random_irregular(n_switches, seed=7, hosts_per_switch=2)
             net = build_load_network(topo, routing)
-            usage = attach_usage_meter(net)
+            usage = FabricUsage(net)
             drive_traffic(net, rate_bytes_per_ns_per_host=rate,
                           packet_size=512,
                           duration_ns=scale["throughput_duration"],

@@ -5,8 +5,8 @@ A reproduction is only trustworthy if you can see inside it.  This
 example drives every diagnostic surface the library offers:
 
 1. topology rendering (text + DOT) with the up*/down* orientation,
-2. a packet-lifecycle timeline through an in-transit host,
-3. one-way latency decomposition into the component budget,
+2. a packet's span waterfall through an in-transit host,
+3. its one-way latency split into critical-path categories,
 4. live fabric-load metering (Jain fairness, root concentration),
 5. the runtime deadlock detector catching a real circular wait on a
    ring fabric under forbidden minimal routes.
@@ -17,14 +17,14 @@ Run:  python examples/diagnostics_tour.py
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.harness.breakdown import measure_breakdown
 from repro.harness.paths import fig6_paths
 from repro.harness.report import format_table
-from repro.harness.timeline import packet_timeline
 from repro.harness.throughput import build_load_network
 from repro.harness.workloads import drive_traffic
 from repro.network.deadlock import detect_deadlock
-from repro.network.instrumentation import attach_usage_meter
+from repro.network.instrumentation import FabricUsage
+from repro.obs.critical_path import CATEGORIES, breakdown_trace
+from repro.obs.tracing import SpanTracer, span_tree, waterfall_lines
 from repro.routing.routes import SourceRoute
 from repro.routing.spanning_tree import build_orientation
 from repro.topology.export import to_text
@@ -40,28 +40,40 @@ def tour_topology() -> None:
     print(to_text(topo, build_orientation(topo)))
 
 
-def tour_timeline_and_breakdown() -> None:
+def tour_spans_and_critical_path() -> None:
     print()
     print("=" * 70)
-    print("2+3. packet timeline + latency breakdown through one ITB")
+    print("2+3. span waterfall + critical path through one ITB")
     print("=" * 70)
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", trace=True,
+        firmware="itb", routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     net = build_network("fig6", config=cfg)
+    tracer = SpanTracer()
+    net.fabric.tracer = tracer
     paths = fig6_paths(net.topo, net.roles)
-    breakdown = measure_breakdown(net, "host1", "host2", size=512,
-                                  route=paths.itb5)
-    # The breakdown sent exactly one packet; find it in the trace.
-    inject = net.trace.first("inject")
-    print(packet_timeline(net.trace, inject.detail["pid"]).render())
+    src, dst = net.roles["host1"], net.roles["host2"]
+    # One 512 B packet at the firmware boundary: its message root
+    # closes when the packet is delivered.
+    ctx = tracer.open_message(net.sim.now, "tour", src=src, dst=dst,
+                              length=512)
+    done = net.sim.event("delivered")
+    net.nics[src].firmware.host_send(
+        dst=dst, payload_len=512, gm={"last": True}, route=paths.itb5,
+        on_delivered=lambda tp: done.succeed(), trace=ctx)
+    net.sim.run_until_event(done)
+    ctx.root.close(net.sim.now)
+    for line in waterfall_lines(span_tree(tracer.spans)):
+        print(line)
     print()
+    b = breakdown_trace(tracer.spans)
     print(format_table(
-        ["component", "ns", "%"],
-        breakdown.rows(),
-        title="one-way budget, 512 B via 1 ITB"
-              f" (total {breakdown.total_ns / 1000:.2f} us)",
+        ["category", "ns", "%"],
+        [(cat, b.categories[cat], 100.0 * b.categories[cat] / b.total_ns)
+         for cat in CATEGORIES],
+        title="one-way critical path, 512 B via 1 ITB"
+              f" (total {b.total_ns / 1000:.2f} us)",
         float_fmt="{:.1f}",
     ))
 
@@ -75,7 +87,7 @@ def tour_balance() -> None:
     for routing in ("updown", "itb"):
         topo = random_irregular(12, seed=7, hosts_per_switch=2)
         net = build_load_network(topo, routing)
-        usage = attach_usage_meter(net)
+        usage = FabricUsage(net)
         drive_traffic(net, rate_bytes_per_ns_per_host=0.05,
                       packet_size=512, duration_ns=120_000,
                       warmup_ns=20_000)
@@ -122,7 +134,7 @@ def tour_deadlock() -> None:
 
 def main() -> None:
     tour_topology()
-    tour_timeline_and_breakdown()
+    tour_spans_and_critical_path()
     tour_balance()
     tour_deadlock()
 

@@ -318,47 +318,13 @@ def _cmd_obs(args) -> int:
     return 0
 
 
-def _waterfall_lines(roots, width: int = 44) -> list[str]:
-    """Render a span tree as depth-indented rows with scaled bars.
-
-    Each row is ``name | bar | duration``; the bar's position and
-    length map the span onto the trace's ``[t0, t1]`` window, so queue
-    waits, wire time, cut-through overlap, and retransmission gaps are
-    visible at a glance.
-    """
-    flat: list[tuple[dict, int]] = []
-
-    def _walk(node: dict, depth: int) -> None:
-        flat.append((node, depth))
-        for child in node["children"]:
-            _walk(child, depth + 1)
-
-    for root in roots:
-        _walk(root, 0)
-    t0 = min(n["start"] for n, _ in flat)
-    t1 = max(n["end"] if n["end"] is not None else n["start"]
-             for n, _ in flat)
-    window = max(t1 - t0, 1e-9)
-    lines = []
-    for node, depth in flat:
-        end = node["end"] if node["end"] is not None else t1
-        a = min(int((node["start"] - t0) / window * width), width - 1)
-        b = min(max(int((end - t0) / window * width), a + 1), width)
-        label = ("  " * depth + node["name"])[:26].ljust(26)
-        bar = (" " * a + "#" * (b - a)).ljust(width)
-        note = "" if node["status"] == "ok" else f"  [{node['status']}]"
-        lines.append(
-            f"{label}|{bar}| {(end - node['start']) / 1000.0:9.3f} us{note}")
-    return lines
-
-
 def _cmd_trace(args) -> int:
     """``repro trace``: run a traced workload, inspect the span trees."""
     from fractions import Fraction
 
     from repro.obs.critical_path import CATEGORIES, breakdown_dump
     from repro.obs.run import export_all, run_obs
-    from repro.obs.tracing import span_tree
+    from repro.obs.tracing import span_tree, waterfall_lines
 
     r = run_obs(
         topology=args.topology,
@@ -388,7 +354,7 @@ def _cmd_trace(args) -> int:
         for b in slowest:
             print(f"\ntrace {b.trace_id}: {b.total_ns / 1000.0:.3f} us,"
                   f" {b.n_attempts} attempt(s), status {b.status}")
-            for line in _waterfall_lines(
+            for line in waterfall_lines(
                     span_tree(tracer.spans_of(b.trace_id))):
                 print(f"  {line}")
         return 0

@@ -21,7 +21,6 @@ from repro.nic.lanai import Nic
 from repro.routing.routes import ItbRoute, SourceRoute
 from repro.routing.spanning_tree import UpDownOrientation
 from repro.sim.engine import Simulator
-from repro.sim.trace import Trace
 from repro.topology.generators import fig1_topology, fig6_testbed
 from repro.topology.graph import Topology
 
@@ -53,7 +52,6 @@ class BuiltNetwork:
         orientation: UpDownOrientation,
         config: NetworkConfig,
         roles: Optional[dict[str, int]] = None,
-        trace: Optional[Trace] = None,
     ) -> None:
         self.sim = sim
         self.topo = topo
@@ -63,7 +61,6 @@ class BuiltNetwork:
         self.orientation = orientation
         self.config = config
         self.roles = roles or {}
-        self.trace = trace
 
     # -- lookups -----------------------------------------------------------
 
@@ -169,8 +166,7 @@ def build_network(
         roles = {**auto_roles, **(roles or {})}
     topo.validate()
 
-    trace = Trace() if config.trace else None
-    sim = Simulator(trace=trace)
+    sim = Simulator()
     fabric = Fabric(sim, topo, config.timings,
                     lanes=config.lanes, lane_policy=config.lane_policy)
     if tracer_factory is not None:
@@ -187,7 +183,7 @@ def build_network(
             buffers = FixedBuffers(config.timings.mcp_buffers,
                                    name=f"recvq[{topo.node_name(host)}]")
         nic = Nic(sim, fabric, config.timings, host,
-                  recv_buffers=buffers, trace=trace,
+                  recv_buffers=buffers,
                   model_memory_contention=config.model_memory_contention)
         kind = FirmwareKind(config.firmware_overrides.get(host, config.firmware))
         fw = _FIRMWARES[kind](nic)
@@ -204,5 +200,5 @@ def build_network(
     )
     return BuiltNetwork(
         sim=sim, topo=topo, fabric=fabric, nics=nics, gm_hosts=gm_hosts,
-        orientation=orientation, config=config, roles=roles, trace=trace,
+        orientation=orientation, config=config, roles=roles,
     )

@@ -55,8 +55,6 @@ class NetworkConfig:
         proposed circular buffer pool of ``pool_bytes``.
     seed:
         Master seed for all host-noise RNGs.
-    trace:
-        Collect a structured event trace (slower; tests use it).
     lanes / lane_policy:
         Virtual-channel lanes per link direction and the lane-selection
         policy (``"fixed"``, ``"roundrobin"``, ``"escape"`` — see
@@ -71,7 +69,6 @@ class NetworkConfig:
     recv_buffer_kind: str = "fixed"
     pool_bytes: int = 64 * 1024
     seed: int = 2001
-    trace: bool = False
     root: Optional[int] = None
     firmware_overrides: dict = field(default_factory=dict)
     #: Model LANai SRAM arbitration explicitly (paper Figure 2's

@@ -44,7 +44,6 @@ from repro.harness.ablations import (
     run_ablation_load,
     run_ablation_timing,
 )
-from repro.harness.breakdown import LatencyBreakdown, measure_breakdown
 from repro.harness.workloads import (
     TrafficStats,
     drive_traffic,
@@ -63,18 +62,13 @@ from repro.harness.report import (
 )
 from repro.harness.sweep import SweepPoint, SweepResult, sweep
 from repro.harness.persist import load_results, save_results
-from repro.harness.chrome_trace import (
-    to_chrome_trace,
-    to_counter_events,
-    write_chrome_trace,
-)
+from repro.harness.chrome_trace import to_counter_events, write_chrome_trace
 from repro.harness.root_study import (
     RootStudyResult,
     RootStudyRow,
     measure_root_point,
     run_root_study,
 )
-from repro.harness.timeline import PacketTimeline, packet_timeline
 from repro.harness.validation import ValidationReport, validate_claims
 
 __all__ = [
@@ -89,9 +83,7 @@ __all__ = [
     "Fig6Paths",
     "Fig7Result",
     "Fig8Result",
-    "LatencyBreakdown",
     "LatencySummary",
-    "PacketTimeline",
     "RootStudyResult",
     "RootStudyRow",
     "SweepPoint",
@@ -110,12 +102,10 @@ __all__ = [
     "line_plot",
     "load_results",
     "measure_app_point",
-    "measure_breakdown",
     "measure_fig7_point",
     "measure_fig8_point",
     "measure_load_point",
     "measure_root_point",
-    "packet_timeline",
     "paper_vs_measured",
     "profiler_table",
     "permutation_traffic",
@@ -134,7 +124,6 @@ __all__ = [
     "summarize_latencies",
     "sweep",
     "registry_table",
-    "to_chrome_trace",
     "to_counter_events",
     "uniform_traffic",
     "validate_claims",

@@ -1,23 +1,23 @@
-"""Export structured traces as Chrome tracing JSON.
+"""Export telemetry as Chrome tracing JSON.
 
 Any Chromium-based browser (``chrome://tracing``) and Perfetto load
 the Trace Event Format: a JSON array of events with microsecond
 timestamps, one row per named "thread".  Mapping our components
-(NICs, switches) to rows and packet-lifecycle records to instant
-events gives an interactive zoomable view of a simulation — far
-easier to scan than a textual trace when debugging contention.
+(GM hosts, MCPs, wires) to rows gives an interactive zoomable view of
+a simulation — far easier to scan than a textual dump when debugging
+contention.
 
-Three event mappings:
+Two event mappings:
 
-* every :class:`~repro.sim.trace.TraceRecord` becomes an *instant*
-  event (phase ``"i"``) on its component's row,
-* per-packet lifecycles (inject -> deliver at a NIC pair) can also be
-  emitted as *duration* pairs (phases ``"b"``/``"e"``) so packets show
-  as horizontal spans, via ``durations=True``,
+* causal spans (from a :class:`repro.obs.tracing.SpanTracer`) become
+  *async* begin/end pairs (phases ``"b"``/``"e"``) on their
+  component's row, plus *flow* arrows (phases ``"s"``/``"f"``) for
+  every hand-off across components, via
+  :func:`spans_to_chrome_trace`,
 * sampled telemetry time series (from a
   :class:`repro.obs.sampler.Sampler`) become *counter* events (phase
   ``"C"``), which Perfetto renders as occupancy/utilization tracks
-  alongside the packet spans — pass them via ``series=``.
+  alongside the spans, via :func:`to_counter_events`.
 """
 
 from __future__ import annotations
@@ -28,62 +28,9 @@ from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.obs.sampler import TimeSeries
-    from repro.sim.trace import Trace
 
-__all__ = ["spans_to_chrome_trace", "to_chrome_trace", "to_counter_events",
+__all__ = ["spans_to_chrome_trace", "to_counter_events",
            "write_chrome_trace"]
-
-#: Lifecycle kinds that open/close a packet's duration span.
-_SPAN_OPEN = "inject"
-_SPAN_CLOSE = ("deliver", "drop_unknown_type", "flush",
-               "fault_corrupt", "fault_lost")
-
-
-def to_chrome_trace(trace: "Trace", durations: bool = True) -> list[dict]:
-    """Convert a trace to a list of Trace-Event-Format dicts.
-
-    Timestamps convert from simulated nanoseconds to the format's
-    microseconds.  With ``durations``, each packet also contributes a
-    begin/end pair spanning first injection to final disposition.
-    """
-    events: list[dict] = []
-    first_seen: dict = {}
-    for rec in trace:
-        events.append({
-            "name": rec.kind,
-            "ph": "i",
-            "s": "t",  # thread-scoped instant
-            "ts": rec.time / 1000.0,
-            "pid": "repro",
-            "tid": rec.component,
-            "args": {k: repr(v) for k, v in rec.detail.items()},
-        })
-        pid_key = rec.detail.get("pid")
-        if not durations or pid_key is None:
-            continue
-        if rec.kind == _SPAN_OPEN and pid_key not in first_seen:
-            first_seen[pid_key] = rec
-            events.append({
-                "name": f"packet {pid_key}",
-                "ph": "b",
-                "cat": "packet",
-                "id": pid_key,
-                "ts": rec.time / 1000.0,
-                "pid": "repro",
-                "tid": rec.component,
-            })
-        elif rec.kind in _SPAN_CLOSE and pid_key in first_seen:
-            events.append({
-                "name": f"packet {pid_key}",
-                "ph": "e",
-                "cat": "packet",
-                "id": pid_key,
-                "ts": rec.time / 1000.0,
-                "pid": "repro",
-                "tid": rec.component,
-            })
-            del first_seen[pid_key]
-    return events
 
 
 def to_counter_events(series: Iterable["TimeSeries"],
@@ -93,7 +40,7 @@ def to_counter_events(series: Iterable["TimeSeries"],
     Each :class:`~repro.obs.sampler.TimeSeries` becomes one counter
     track named ``metric component`` whose value steps at every sample
     point; Perfetto draws these as filled area charts alongside the
-    packet spans.
+    spans.
     """
     events: list[dict] = []
     for ts in series:
@@ -168,22 +115,19 @@ def spans_to_chrome_trace(spans: Iterable[Union[dict, object]],
 
 
 def write_chrome_trace(
-    trace: "Trace",
     path: Union[str, Path],
-    durations: bool = True,
     series: Iterable["TimeSeries"] = (),
     spans: Iterable[Union[dict, object]] = (),
 ) -> Path:
-    """Write the trace as a ``chrome://tracing``-loadable JSON file.
+    """Write a ``chrome://tracing``-loadable JSON file.
 
-    ``series`` (sampled telemetry time series) are appended as counter
-    tracks via :func:`to_counter_events`; ``spans`` (causal span dumps
-    from :mod:`repro.obs.tracing`) as async spans plus cross-component
-    flow arrows via :func:`spans_to_chrome_trace`.
+    ``series`` (sampled telemetry time series) become counter tracks
+    via :func:`to_counter_events`; ``spans`` (causal spans from
+    :mod:`repro.obs.tracing`, or their dump dicts) become async spans
+    plus cross-component flow arrows via :func:`spans_to_chrome_trace`.
     """
     path = Path(path)
-    events = to_chrome_trace(trace, durations=durations)
-    events.extend(to_counter_events(series))
+    events = to_counter_events(series)
     events.extend(spans_to_chrome_trace(spans))
     payload = {"traceEvents": events, "displayTimeUnit": "ns"}
     path.write_text(json.dumps(payload, indent=1))

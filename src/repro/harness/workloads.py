@@ -188,13 +188,9 @@ def drive_traffic(
                 stats.offered_bytes += packet_size
             trace_ctx = None
             if tracer is not None and tracer.sample():
-                root = tracer.begin(
-                    "message", sim.now, component=f"traffic[{host}]",
+                trace_ctx = tracer.open_message(
+                    sim.now, f"traffic[{host}]",
                     src=host, dst=dst, length=packet_size)
-                attempt = tracer.begin(
-                    "attempt", sim.now, parent=root,
-                    component=f"traffic[{host}]", seq=0, retry=0, last=True)
-                trace_ctx = tracer.packet(root, attempt)
             nic.firmware.host_send(
                 dst=dst, payload_len=packet_size,
                 gm={"kind": "data", "last": True},

@@ -279,8 +279,7 @@ class Firmware:
             self.nic.stats.bytes_sent += tp.image.wire_length
         else:
             self.nic.stats.packets_forwarded += 1
-        self.nic.emit("inject", pid=tp.pid, seg=seg_index,
-                      bytes=tp.image.wire_length)
+        self.nic.emit("inject")
         done = Event(self.sim, name=self._drain_name)
         worm.meta["on_drained"] = done
         self.nic.arbiter.engine_start("send_dma")
@@ -298,7 +297,7 @@ class Firmware:
             self.nic.recv_buffers.release(tp)
             if tr is not None:
                 tr.finish(f"itb_buffer{seg_index - 1}", self.sim.now)
-            self.nic.emit("itb_buffer_release", pid=tp.pid, seg=seg_index)
+            self.nic.emit("itb_buffer_release")
             self._admit_recv_waiter()
 
     def _firmware_of(self, host: int) -> "Firmware":
@@ -346,7 +345,7 @@ class Firmware:
             tp.drop_reason = "unknown-type"
             self.nic.recv_buffers.release(tp)
             self._admit_recv_waiter()
-            self.nic.emit("drop_unknown_type", pid=tp.pid)
+            self.nic.emit("drop_unknown_type")
             if tp.trace is not None:
                 tp.trace.attempt.close(t_now, "unknown-type")
             if tp.on_delivered is not None:
@@ -376,7 +375,7 @@ class Firmware:
         if tr is not None:
             tr.finish("recv", tp.t_deliver)
             tr.attempt.close(tp.t_deliver)
-        self.nic.emit("deliver", pid=tp.pid)
+        self.nic.emit("deliver")
         if self.nic.deliver_up is not None:
             self.nic.deliver_up(tp)
         if tp.on_delivered is not None:
@@ -400,12 +399,12 @@ class Firmware:
             tp.dropped = True
             tp.drop_reason = "buffer-pool-flush"
             self.nic.stats.packets_flushed += 1
-            self.nic.emit("flush", pid=tp.pid)
+            self.nic.emit("flush")
             return None
         # Fixed buffers: stall the wire until a slot frees.
         gate = Event(self.sim, name=self._bufwait_name)
         self._recv_waiters.append((worm, gate))
-        self.nic.emit("recv_blocked", pid=tp.pid)
+        self.nic.emit("recv_blocked")
         stall_start = self.sim.now
         tr = tp.trace
         wait_span = None if tr is None else tr.begin(
@@ -481,7 +480,7 @@ class ItbFirmware(Firmware):
                 drained.succeed()
             self.nic.stats.packets_received += 1
             self.nic.stats.bytes_received += worm.image.wire_length
-            self.nic.emit("itb_recv_complete", pid=worm.meta["tp"].pid)
+            self.nic.emit("itb_recv_complete")
             return
         super().on_complete(worm, t_now)
 
@@ -498,7 +497,7 @@ class ItbFirmware(Firmware):
             tr.begin("itb_buffer", self.sim.now,
                      component=self._trace_component,
                      key=f"itb_buffer{tp.seg_index}", seg=tp.seg_index)
-        self.nic.emit("early_recv", pid=tp.pid, seg=tp.seg_index)
+        self.nic.emit("early_recv")
         self.sim.process(self._forward(worm, tp), name=self._itbfwd_name)
         return gate
 
@@ -532,13 +531,13 @@ class ItbFirmware(Firmware):
                 tr.begin("itb_program", self.sim.now,
                          component=self._trace_component, key="dispatch")
             yield Timeout(arbiter.scaled(self._program_dma_ns))
-            self.nic.emit("reinject_immediate", pid=tp.pid, seg=tp.seg_index)
+            self.nic.emit("reinject_immediate")
             yield from self._inject(tp)
         else:
             # ITB packet pending: served by the Send machine with
             # priority as soon as it frees up.
             self.nic.stats.itb_pending += 1
-            self.nic.emit("reinject_pending", pid=tp.pid, seg=tp.seg_index)
+            self.nic.emit("reinject_pending")
             if tr is not None:
                 tr.begin("itb_queue", self.sim.now,
                          component=self._trace_component, key="queue")

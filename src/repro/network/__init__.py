@@ -42,7 +42,7 @@ from repro.network.deadlock import (
     DeadlockWatchdog,
     detect_deadlock,
 )
-from repro.network.instrumentation import FabricUsage, attach_usage_meter
+from repro.network.instrumentation import FabricUsage
 
 __all__ = [
     "Channel",
@@ -61,7 +61,6 @@ __all__ = [
     "StopGoChannel",
     "Worm",
     "WormObserver",
-    "attach_usage_meter",
     "detect_deadlock",
     "escape_lane_walk",
     "install_fault_plan",

@@ -17,7 +17,7 @@ Channels are keyed ``(link_id, direction)`` with direction 0 meaning
 "entering at the (node_a, port_a) end", which stays well-defined for
 loopback cables (both ends on one switch).  Lanes are keyed
 ``(link_id, direction, lane)`` — the claim index, the lane-aware CDG
-analysis, and the per-lane meters all use this triple.
+analysis, and the per-lane usage view all use this triple.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class Channel:
     """One direction of a physical cable, hosting ``n_lanes`` lanes.
 
     ``lanes[0]`` is the default lane; the :attr:`resource` property
-    aliases it so single-lane code (and the instrumentation layer,
-    which swaps a metering proxy in via plain assignment) keeps
-    working unchanged.
+    aliases it so single-lane code keeps working unchanged.  Each lane
+    counts its own grants and busy time (see
+    :class:`~repro.sim.resources.Resource`).
     """
 
     __slots__ = ("link", "direction", "from_node", "from_port",
@@ -65,10 +65,6 @@ class Channel:
     def resource(self) -> Resource:
         """Lane 0 (the whole channel when ``n_lanes == 1``)."""
         return self.lanes[0]
-
-    @resource.setter
-    def resource(self, value: Resource) -> None:
-        self.lanes[0] = value
 
     @property
     def n_lanes(self) -> int:

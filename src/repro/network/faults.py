@@ -241,7 +241,7 @@ class FaultInjector:
         src_nic = self.net.nics.get(tp.src)
         if src_nic is not None:
             src_nic.stats.packets_lost_in_flight += 1
-            src_nic.emit("fault_killed", pid=tp.pid, reason=reason)
+            src_nic.emit("fault_killed")
         # Free a receive-buffer slot the destination may already hold
         # for this packet (claimed at on_header, never to complete) —
         # unless cut-through forwarding already took ownership: once an
@@ -325,7 +325,7 @@ def _wrap_firmware(fw: "Firmware", plan: FaultPlan) -> None:
                 tp.drop_reason = (
                     "crc-error" if fate == "corrupt" else "lost-in-flight"
                 )
-                fw.nic.emit("fault_" + fate, pid=tp.pid)
+                fw.nic.emit("fault_" + fate)
                 # Free the receive buffer the claim took at on_header.
                 try:
                     fw.nic.recv_buffers.release(tp)

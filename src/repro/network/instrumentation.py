@@ -1,4 +1,4 @@
-"""Channel-utilization instrumentation.
+"""Channel-utilization view.
 
 The paper's introduction names three up*/down* pathologies: non-minimal
 routing, **unbalanced traffic** ("these routings tend to saturate the
@@ -7,32 +7,52 @@ zone near the root switch"), and wormhole contention.  Route-counting
 *dynamically*: per-channel busy time and packet counts observed while
 real traffic runs, plus summary statistics (max/mean link load,
 Jain's fairness index, root-adjacent concentration).
+
+Every channel lane counts its own grants and busy time
+(:class:`~repro.sim.resources.Resource`); :class:`FabricUsage` is a
+view over those counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.core.builder import BuiltNetwork
+    from repro.sim.resources import Resource
 
-__all__ = ["ChannelUsage", "FabricUsage", "attach_usage_meter"]
+__all__ = ["ChannelUsage", "FabricUsage"]
 
 
-@dataclass
 class ChannelUsage:
     """Observed load on one directed channel (one lane of it when the
-    fabric runs multiple lanes — the key then carries the lane index)."""
+    fabric runs multiple lanes — the key then carries the lane index),
+    counted from the creation of the :class:`FabricUsage` that holds it.
+    """
 
-    key: tuple
-    from_node: int
-    to_node: int
-    packets: int = 0
-    busy_ns: float = 0.0
-    _acquired_at: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("key", "from_node", "to_node", "_res", "_grants0",
+                 "_busy0")
+
+    def __init__(self, key: tuple, from_node: int, to_node: int,
+                 res: "Resource") -> None:
+        self.key = key
+        self.from_node = from_node
+        self.to_node = to_node
+        self._res = res
+        self._grants0 = res.grants
+        self._busy0 = res.busy_ns
+
+    @property
+    def packets(self) -> int:
+        """Holds granted on this lane since the view was created."""
+        return self._res.grants - self._grants0
+
+    @property
+    def busy_ns(self) -> float:
+        """Length of the holds released since the view was created."""
+        return self._res.busy_ns - self._busy0
 
     def utilization(self, duration_ns: float) -> float:
         """Busy fraction over an observation window."""
@@ -40,17 +60,33 @@ class ChannelUsage:
 
 
 class FabricUsage:
-    """Aggregated usage over every fabric (switch-to-switch) channel.
+    """Usage of every fabric (switch-to-switch) channel lane.
 
-    Installed by :func:`attach_usage_meter`, which wraps each channel
-    resource's request/release bookkeeping.  Host NIC cables are
-    excluded — the balance question is about the switch fabric.
+    Creating one records each lane's counters, so the view counts the
+    grants made and the holds released from then on; it can be created
+    at any time, before or during traffic.  A hold already open at
+    creation counts in full when it is released.  Host NIC cables are
+    excluded — the balance question is about the switch fabric.  On a
+    single-lane fabric channels are keyed by the 2-tuple channel key;
+    with virtual-channel lanes every lane is keyed ``(link_id,
+    direction, lane)``, so lane imbalance is directly observable.
     """
 
     def __init__(self, net: "BuiltNetwork") -> None:
         self.net = net
         self.t_start = net.sim.now
         self.channels: dict[tuple, ChannelUsage] = {}
+        topo = net.topo
+        for channel in net.fabric.channels():
+            link = channel.link
+            if not (topo.is_switch(link.node_a)
+                    and topo.is_switch(link.node_b)):
+                continue
+            multi = channel.n_lanes > 1
+            for lane, res in enumerate(channel.lanes):
+                key = channel.lane_key(lane) if multi else channel.key
+                self.channels[key] = ChannelUsage(
+                    key, channel.from_node, channel.to_node, res)
 
     # -- summary statistics -------------------------------------------------
 
@@ -94,92 +130,3 @@ class FabricUsage:
             if root in (u.from_node, u.to_node)
         )
         return at_root / total
-
-
-def attach_usage_meter(net: "BuiltNetwork") -> FabricUsage:
-    """Instrument every fabric channel of a built network.
-
-    Must be attached before traffic runs.  Only switch-to-switch
-    channels are metered.  On a single-lane fabric meters are keyed
-    by the 2-tuple channel key exactly as before; with virtual-channel
-    lanes configured every lane gets its own meter under its
-    ``(link_id, direction, lane)`` key, so lane imbalance is directly
-    observable.
-    """
-    usage = FabricUsage(net)
-    topo = net.topo
-    for channel in net.fabric.channels():
-        link = channel.link
-        if not (topo.is_switch(link.node_a) and topo.is_switch(link.node_b)):
-            continue
-        multi = channel.n_lanes > 1
-        for lane in range(channel.n_lanes):
-            cu = ChannelUsage(
-                key=channel.lane_key(lane) if multi else channel.key,
-                from_node=channel.from_node,
-                to_node=channel.to_node,
-            )
-            usage.channels[cu.key] = cu
-            channel.lanes[lane] = _MeteredResource(
-                channel.lanes[lane], cu, net.sim)
-    return usage
-
-
-class _MeteredResource:
-    """Delegating proxy around a channel's Resource that records
-    per-owner hold times (Resource uses ``__slots__``, so its methods
-    cannot be patched in place — the channel's ``resource`` attribute
-    is swapped for this wrapper instead)."""
-
-    def __init__(self, inner, cu: ChannelUsage, sim) -> None:
-        self._inner = inner
-        self._cu = cu
-        self._sim = sim
-
-    # -- metered operations ----------------------------------------------
-
-    def request(self, owner):
-        """Request the channel; grant time is recorded for metering."""
-        ev = self._inner.request(owner)
-
-        def on_grant(_ev):
-            self._cu.packets += 1
-            self._cu._acquired_at[id(owner)] = self._sim.now
-
-        ev.add_callback(on_grant)
-        return ev
-
-    def try_acquire(self, owner):
-        """Immediate acquire attempt, recorded when it succeeds."""
-        ok = self._inner.try_acquire(owner)
-        if ok:
-            self._cu.packets += 1
-            self._cu._acquired_at[id(owner)] = self._sim.now
-        return ok
-
-    def release(self, owner):
-        """Release and charge the hold time to the channel's meter."""
-        start = self._cu._acquired_at.pop(id(owner), None)
-        if start is not None:
-            self._cu.busy_ns += self._sim.now - start
-        self._inner.release(owner)
-
-    # -- express-lane hooks (see repro.network.worm) ----------------------
-
-    def note_acquired_at(self, owner, t: float) -> None:
-        """Backdate ``owner``'s acquire time (a materialised express
-        hold really started at its closed-form acquire instant, not at
-        the interrupt that made it visible)."""
-        self._cu._acquired_at[id(owner)] = t
-
-    def record_hold(self, t_acquire: float, t_release: float) -> None:
-        """Settle a fully-virtual express hold: the channel was never
-        touched through request/release, so account the whole window
-        in one step."""
-        self._cu.packets += 1
-        self._cu.busy_ns += t_release - t_acquire
-
-    # -- passthrough -------------------------------------------------------
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)

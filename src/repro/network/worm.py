@@ -489,11 +489,8 @@ class Worm:
             if keys[i] in self._held_keys:
                 continue
             res = chans[i].lanes[lanes[i]]
-            ok = res.try_acquire(owner=self)
+            ok = res.try_acquire(owner=self, since=acq[i])
             assert ok, "express-held lane was not free at demotion"
-            note = getattr(res, "note_acquired_at", None)
-            if note is not None:
-                note(self, acq[i])
             self._held.append(res)
             self._held_keys.add(keys[i])
         if self._hop_times is not None:
@@ -571,20 +568,22 @@ class Worm:
             return
         # Fully virtual flight: nothing ever queued on these lanes
         # (any contender would have materialised them), so only the
-        # channel-utilisation meters need the hold recorded.
+        # lanes' load counters need the holds added, as a release
+        # would have added them.
         acq = self._acq
         lanes = self._lanes
+        t_release = self.complete_time
         for i, ch in enumerate(self._plan.channels):
-            record = getattr(ch.lanes[lanes[i]], "record_hold", None)
-            if record is not None:
-                record(acq[i], self.complete_time)
+            res = ch.lanes[lanes[i]]
+            res.grants += 1
+            res.busy_ns += t_release - acq[i]
         self._release_claims()
 
     def _express_interrupted(self, t1: float) -> None:
         """A contender is about to look at our channels (time ``t1``).
 
         Materialise every hold whose closed-form acquire time has
-        matured (backdating the meters), and demote any immature
+        matured (each hold starts at that time), and demote any immature
         suffix back to the stepped generator at its natural request
         time.  Full demotion can only happen before header arrival —
         by then every acquire time has matured — so the scheduled
@@ -602,11 +601,8 @@ class Worm:
                 break
         for i in range(j):
             res = chans[i].lanes[lanes[i]]
-            ok = res.try_acquire(owner=self)
+            ok = res.try_acquire(owner=self, since=acq[i])
             assert ok, "express-held lane was not free at interrupt"
-            note = getattr(res, "note_acquired_at", None)
-            if note is not None:
-                note(self, acq[i])
             self._held.append(res)
             self._held_keys.add(keys[i])
         if self._hop_times is not None:

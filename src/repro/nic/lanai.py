@@ -24,7 +24,6 @@ from repro.nic.arbiter import MemoryArbiter
 from repro.routing.tables import RouteTable
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.mcp.firmware import Firmware
@@ -61,8 +60,6 @@ class Nic:
     recv_buffers:
         A :class:`FixedBuffers` (stock GM: two slots) or
         :class:`BufferPool` (the paper's proposed extension).
-    trace:
-        Optional structured trace.
     """
 
     def __init__(
@@ -72,7 +69,6 @@ class Nic:
         timings: Timings,
         host: int,
         recv_buffers: Optional[Union[FixedBuffers, BufferPool]] = None,
-        trace: Optional[Trace] = None,
         model_memory_contention: bool = False,
     ) -> None:
         self.sim = sim
@@ -83,7 +79,6 @@ class Nic:
         self.recv_buffers = recv_buffers or FixedBuffers(
             n_slots=timings.mcp_buffers, name=f"recvq[{self.name}]"
         )
-        self.trace = trace
         self.stats = NicStats()
         # SRAM arbitration model (paper Figure 2).  Disabled by
         # default: the calibrated cycle counts in Timings already
@@ -107,15 +102,13 @@ class Nic:
         """Bind the MCP that drives this NIC (once, at build time)."""
         self.firmware = firmware
 
-    def emit(self, kind: str, **detail) -> None:
-        """Emit a structured trace record tagged with this NIC.
+    def emit(self, kind: str) -> None:
+        """Count one firmware event of this NIC.
 
-        When a metrics registry is attached, the emission is also
-        counted as ``nic_mcp_events_total{component=..., kind=...}``
-        so firmware events are queryable without trace post-processing.
+        When a metrics registry is attached, the event is counted as
+        ``nic_mcp_events_total{component=..., kind=...}``; without one
+        it is a no-op.
         """
-        if self.trace is not None:
-            self.trace.emit(self.sim.now, f"nic[{self.name}]", kind, **detail)
         if self.metrics is not None:
             self.metrics.counter(
                 "nic_mcp_events_total", component=f"nic[{self.name}]",

@@ -16,7 +16,7 @@ The observability spine of the reproduction (see
   ``FabricUsage``, buffer occupancy, and firmware events into a fresh
   registry,
 * :mod:`repro.obs.tracing` — causal span tracing across the GM/ITB
-  stack (see ``docs/TRACING.md``),
+  stack and its ASCII waterfall (see ``docs/TRACING.md``),
 * :mod:`repro.obs.critical_path` — per-trace critical-path latency
   attribution feeding the ``latency_breakdown_ns`` histograms,
 * :mod:`repro.obs.run` — the ``repro obs`` CLI workload runner.
@@ -60,6 +60,7 @@ from repro.obs.tracing import (
     load_dump,
     span_tree,
     tree_signature,
+    waterfall_lines,
 )
 
 __all__ = [
@@ -99,5 +100,6 @@ __all__ = [
     "to_json",
     "to_prometheus_text",
     "tree_signature",
+    "waterfall_lines",
     "write_json",
 ]

@@ -1,9 +1,9 @@
-"""Wire a built network's existing stat silos into one registry.
+"""Wire a built network's counters into one registry.
 
-Before this module, the repo's observability lived in five unconnected
-places — ``NicStats`` counters, ``FabricUsage`` channel meters, the
-structured trace, harness latency summaries, and the chrome-trace
-export.  :func:`instrument_network` registers all of them into a
+The simulation keeps its counts in plain attributes — ``NicStats``,
+the busy-time counters of every channel lane (read through a
+``FabricUsage`` view), the express-lane, GM, fault and reselection
+counters.  :func:`instrument_network` registers all of them into a
 single :class:`~repro.obs.registry.MetricsRegistry` (callback-backed,
 so the hot paths keep mutating their plain attributes) and optionally
 starts a :class:`~repro.obs.sampler.Sampler` and installs a
@@ -41,7 +41,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.network.instrumentation import FabricUsage, attach_usage_meter
+from repro.network.instrumentation import FabricUsage
 from repro.nic.lanai import NicStats
 from repro.obs.profiler import Profiler
 from repro.obs.registry import MetricsRegistry
@@ -272,7 +272,7 @@ def _attach_fabric(registry: MetricsRegistry,
         comp = f"channel[{cu.from_node}->{cu.to_node}]"
         # Parallel cables share endpoints: the (link, direction) key —
         # extended with a lane index on multi-lane fabrics — goes in
-        # its own label so every metered resource stays distinct.
+        # its own label so every lane stays distinct.
         link = {"link": ":".join(str(part) for part in cu.key)}
         registry.counter(
             "fabric_channel_packets_total", component=comp,
@@ -338,13 +338,12 @@ def instrument_network(
 ) -> Telemetry:
     """Attach the unified telemetry stack to a built network.
 
-    Must run *before* traffic (the fabric meter wraps channel
-    resources at attach time).  Returns a :class:`Telemetry` whose
-    registry already exposes every NIC and fabric metric; when
-    ``sample_interval_ns`` is given a started
-    :class:`~repro.obs.sampler.Sampler` records gauge time series, and
-    with ``profile=True`` a :class:`~repro.obs.profiler.Profiler` is
-    installed on the engine.
+    Returns a :class:`Telemetry` whose registry already exposes every
+    NIC and fabric metric; the fabric channel metrics (``fabric_usage``)
+    count from this call on.  When ``sample_interval_ns`` is given a
+    started :class:`~repro.obs.sampler.Sampler` records gauge time
+    series, and with ``profile=True`` a
+    :class:`~repro.obs.profiler.Profiler` is installed on the engine.
     """
     registry = registry or MetricsRegistry()
     for _host, nic in sorted(net.nics.items()):
@@ -356,7 +355,7 @@ def instrument_network(
         _attach_lanes(registry, net.fabric)
     usage: Optional[FabricUsage] = None
     if fabric_usage:
-        usage = attach_usage_meter(net)
+        usage = FabricUsage(net)
         _attach_fabric(registry, usage)
     profiler: Optional[Profiler] = None
     if profile:

@@ -15,13 +15,13 @@ the Prometheus-style primitives every component publishes through:
 
 All three may be *callback-backed* (``fn=``): the metric reads an
 existing attribute on demand instead of requiring the owning component
-to push updates.  This is how the pre-existing silos (``NicStats``
-dataclass fields, ``ChannelUsage`` accumulators) register into the
-registry without rewriting their hot paths.
+to push updates.  This is how plain counters (``NicStats`` dataclass
+fields, the channel lanes' busy-time counters read through
+``ChannelUsage``) register into the registry without rewriting their
+hot paths.
 
 Metrics are identified by ``(name, labels)``.  The conventional label
-is ``component`` (``nic[host2]``, ``channel[1->3]``), matching the
-component strings the structured trace already uses.
+is ``component`` (``nic[host2]``, ``channel[1->3]``).
 """
 
 from __future__ import annotations

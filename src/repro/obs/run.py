@@ -4,9 +4,10 @@ One call builds a network (the paper's fig6 testbed or a random
 irregular COW), attaches the full telemetry stack
 (:func:`~repro.obs.attach.instrument_network`), drives open-loop
 uniform traffic at a configured load, and returns the registry,
-sampled time series, engine profile, structured trace, and latency
-summary in one :class:`ObsResult` — which :func:`export_all` dumps as
-Prometheus text, JSON, CSV, and a chrome trace with counter tracks.
+sampled time series, engine profile, span tracer (when tracing is on)
+and latency summary in one :class:`ObsResult` — which
+:func:`export_all` dumps as Prometheus text, JSON, CSV, and a chrome
+trace with counter tracks and the spans.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def run_obs(
         recv_buffer_kind="pool",
         pool_bytes=1024 * 1024,
         seed=topo_seed,
-        trace=True,
     )
     if topology == "fig6":
         net = build_network("fig6", config=config)
@@ -167,10 +167,8 @@ def export_all(result: ObsResult, out_dir: Union[str, Path]) -> dict[str, Path]:
 
     tracer = result.tracer
     spans = tracer.spans if tracer is not None else ()
-    if result.net.trace is not None:
-        paths["chrome_trace"] = write_chrome_trace(
-            result.net.trace, out_dir / "trace.json", series=series,
-            spans=spans)
+    paths["chrome_trace"] = write_chrome_trace(
+        out_dir / "trace.json", series=series, spans=spans)
     if tracer is not None:
         span_path = out_dir / "spans.json"
         span_path.write_text(tracer.dump_json())

@@ -46,6 +46,7 @@ __all__ = [
     "load_dump",
     "span_tree",
     "tree_signature",
+    "waterfall_lines",
 ]
 
 
@@ -189,6 +190,20 @@ class SpanTracer:
         """Build the per-packet context carried on a TransitPacket."""
         return PacketTrace(self, root, attempt)
 
+    def open_message(self, t: float, component: str,
+                     **attrs: Any) -> PacketTrace:
+        """Open the root pair of a send made below the GM host layer.
+
+        A ``message`` root carrying ``attrs`` and its one ``attempt``
+        (``seq`` 0, no retry, last packet), both at ``t`` on
+        ``component``.  With no GM host to close the root, the caller
+        closes it at the packet's final disposition.
+        """
+        root = self.begin("message", t, component=component, **attrs)
+        attempt = self.begin("attempt", t, parent=root, component=component,
+                             seq=0, retry=0, last=True)
+        return PacketTrace(self, root, attempt)
+
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -327,6 +342,42 @@ def tree_signature(spans: Iterable[Union[Span, dict]]) -> tuple:
             tuple(_node_sig(c) for c in node["children"]),
         )
     return tuple(_node_sig(root) for root in span_tree(spans))
+
+
+def waterfall_lines(roots: list[dict], width: int = 44) -> list[str]:
+    """Render span trees (from :func:`span_tree`) as an ASCII waterfall.
+
+    One row per span, depth-first: ``name | bar | duration``, with the
+    name indented by depth.  The bar's position and length map the
+    span onto the window from the earliest start to the latest end, so
+    queue waits, wire time, cut-through overlap and retransmission
+    gaps are visible at a glance; an open span runs to the window's
+    end, and a status other than ``ok`` is noted after the duration.
+    """
+    flat: list[tuple[dict, int]] = []
+
+    def _walk(node: dict, depth: int) -> None:
+        flat.append((node, depth))
+        for child in node["children"]:
+            _walk(child, depth + 1)
+
+    for root in roots:
+        _walk(root, 0)
+    t0 = min(n["start"] for n, _ in flat)
+    t1 = max(n["end"] if n["end"] is not None else n["start"]
+             for n, _ in flat)
+    window = max(t1 - t0, 1e-9)
+    lines = []
+    for node, depth in flat:
+        end = node["end"] if node["end"] is not None else t1
+        a = min(int((node["start"] - t0) / window * width), width - 1)
+        b = min(max(int((end - t0) / window * width), a + 1), width)
+        label = ("  " * depth + node["name"])[:26].ljust(26)
+        bar = (" " * a + "#" * (b - a)).ljust(width)
+        note = "" if node["status"] == "ok" else f"  [{node['status']}]"
+        lines.append(
+            f"{label}|{bar}| {(end - node['start']) / 1000.0:9.3f} us{note}")
+    return lines
 
 
 #: Signature of the callable installed on the builder by configure().

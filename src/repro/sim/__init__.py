@@ -18,8 +18,6 @@ Public surface
     FIFO resource with integer capacity (models physical channels).
 :class:`Store`
     FIFO queue of items with optional capacity (models packet buffers).
-:class:`Trace`
-    Optional structured event trace for debugging and assertions.
 """
 
 from repro.sim.engine import (
@@ -33,7 +31,6 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -46,6 +43,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "Trace",
-    "TraceRecord",
 ]

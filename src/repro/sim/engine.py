@@ -448,12 +448,6 @@ def _resolve_wait_handler(target: Any) -> Optional[Callable[[Process, Any], None
 class Simulator:
     """The event loop.
 
-    Parameters
-    ----------
-    trace:
-        Optional :class:`repro.sim.trace.Trace` receiving structured
-        records from components that support tracing.
-
     Attributes
     ----------
     profiler:
@@ -462,7 +456,7 @@ class Simulator:
         ``Profiler().install(sim)``).
     """
 
-    def __init__(self, trace: Any = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Callable[[], None]]] = []
         #: Immediate lane: zero-delay, priority-0 callbacks at the
@@ -471,7 +465,6 @@ class Simulator:
         self._immediate: Deque[tuple[int, Callable[[], None]]] = deque()
         self._seq = 0
         self._crashed: list[tuple[Process, BaseException]] = []
-        self.trace = trace
         self.profiler: Any = None
 
     # -- time and scheduling -------------------------------------------

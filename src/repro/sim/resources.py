@@ -36,10 +36,15 @@ class Resource:
     Grants are strictly FIFO.  ``owner`` is an arbitrary token used for
     bookkeeping and error detection (double release, release without
     hold).
+
+    The resource keeps its own load record: :attr:`grants` counts the
+    holds granted and :attr:`busy_ns` sums the length of every hold
+    released so far, added once per hold at its release.  A hold still
+    open is not in :attr:`busy_ns`.
     """
 
     __slots__ = ("sim", "capacity", "name", "_req_name", "_holders",
-                 "_waiters")
+                 "_since", "_waiters", "grants", "busy_ns")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -49,7 +54,11 @@ class Resource:
         self.name = name
         self._req_name = f"req:{name}"
         self._holders: list[Any] = []
+        #: Start time of each hold, parallel to ``_holders``.
+        self._since: list[float] = []
         self._waiters: Deque[tuple[Any, Event]] = deque()
+        self.grants = 0
+        self.busy_ns = 0.0
 
     # -- introspection ---------------------------------------------------
 
@@ -76,29 +85,44 @@ class Resource:
         ev = Event(self.sim, name=self._req_name)
         if len(self._holders) < self.capacity and not self._waiters:
             self._holders.append(owner)
+            self._since.append(self.sim.now)
+            self.grants += 1
             ev.succeed(self)
         else:
             self._waiters.append((owner, ev))
         return ev
 
-    def try_acquire(self, owner: Any) -> bool:
-        """Acquire immediately if free (no queueing); return success."""
+    def try_acquire(self, owner: Any, since: Optional[float] = None) -> bool:
+        """Acquire immediately if free (no queueing); return success.
+
+        ``since`` is the hold's start for :attr:`busy_ns` when it began
+        before now: a materialised express worm hold started at its
+        closed-form acquire time (see :mod:`repro.network.worm`).
+        """
         if len(self._holders) < self.capacity and not self._waiters:
             self._holders.append(owner)
+            self._since.append(self.sim.now if since is None else since)
+            self.grants += 1
             return True
         return False
 
     def release(self, owner: Any) -> None:
         """Release one hold by ``owner``; grants the next FIFO waiter."""
+        holders = self._holders
         try:
-            self._holders.remove(owner)
+            i = holders.index(owner)
         except ValueError:
             raise SimulationError(
                 f"{owner!r} released {self.name!r} without holding it"
             ) from None
-        if self._waiters and len(self._holders) < self.capacity:
+        del holders[i]
+        now = self.sim.now
+        self.busy_ns += now - self._since.pop(i)
+        if self._waiters and len(holders) < self.capacity:
             next_owner, ev = self._waiters.popleft()
-            self._holders.append(next_owner)
+            holders.append(next_owner)
+            self._since.append(now)
+            self.grants += 1
             ev.succeed(self)
 
     def cancel(self, owner: Any) -> bool:

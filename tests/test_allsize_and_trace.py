@@ -1,4 +1,4 @@
-"""Tests for the gm_allsize harness and structured tracing."""
+"""Tests for the gm_allsize harness."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
 from repro.gm.allsize import PingPongResult, allsize_sweep
-from repro.sim.trace import Trace
 
 
 def quiet_net(**kw):
@@ -69,48 +68,3 @@ class TestPingPong:
         results = allsize_sweep(make, sizes=(8, 64), iterations=3)
         assert [r.size for r in results] == [8, 64]
         assert all(len(r.half_rtt_ns) == 3 for r in results)
-
-
-class TestTrace:
-    def test_records_filterable(self):
-        trace = Trace()
-        trace.emit(1.0, "nic[a]", "inject", pid=1)
-        trace.emit(2.0, "nic[b]", "deliver", pid=1)
-        trace.emit(3.0, "nic[a]", "inject", pid=2)
-        assert len(trace) == 3
-        assert len(trace.records(kind="inject")) == 2
-        assert len(trace.records(component="nic[b]")) == 1
-        assert trace.first("inject").time == 1.0
-        assert trace.last("inject").time == 3.0
-        assert trace.first("nothing") is None
-        picked = trace.records(predicate=lambda r: r.detail["pid"] == 2)
-        assert len(picked) == 1
-
-    def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.emit(1.0, "x", "y")
-        assert len(trace) == 0
-
-    def test_max_records_cap(self):
-        trace = Trace(max_records=2)
-        for i in range(5):
-            trace.emit(float(i), "c", "k")
-        assert len(trace) == 2
-        assert trace.dropped == 3
-
-    def test_clear(self):
-        trace = Trace()
-        trace.emit(1.0, "c", "k")
-        trace.clear()
-        assert len(trace) == 0 and trace.dropped == 0
-
-    def test_network_trace_wired_through(self):
-        cfg = NetworkConfig(
-            firmware="itb", routing="updown", trace=True,
-            timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
-        )
-        net = build_network("fig6", config=cfg)
-        net.ping_pong("host1", "host2", size=32, iterations=2)
-        assert net.trace is not None
-        assert net.trace.records(kind="inject")
-        assert net.trace.records(kind="deliver")

@@ -1,4 +1,4 @@
-"""Tests for the Chrome-tracing export."""
+"""Tests for the Chrome-tracing export of spans and counter series."""
 
 from __future__ import annotations
 
@@ -11,84 +11,70 @@ from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
 from repro.harness.chrome_trace import (spans_to_chrome_trace,
-                                        to_chrome_trace, write_chrome_trace)
+                                        write_chrome_trace)
 from repro.harness.paths import fig6_paths
 from repro.obs.tracing import SpanTracer
-from repro.sim.trace import Trace
+from tests.conftest import send_traced
 
 
-def traced_run():
+def traced_run(firmware="itb", size=256):
+    """One firmware-level packet over the Fig. 8 ITB path, traced."""
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", trace=True,
+        firmware=firmware, routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     net = build_network("fig6", config=cfg)
     paths = fig6_paths(net.topo, net.roles)
-    done = net.sim.event("one")
-    net.nics[net.roles["host1"]].firmware.host_send(
-        dst=net.roles["host2"], payload_len=256, gm={"last": True},
-        on_delivered=lambda tp: done.succeed(tp), route=paths.itb5,
-    )
-    tp = net.sim.run_until_event(done)
-    return net, tp
+    tp, tracer = send_traced(net, net.roles["host1"], net.roles["host2"],
+                             size=size, route=paths.itb5)
+    return tp, tracer
 
 
 class TestConversion:
-    def test_every_record_becomes_an_instant(self):
-        net, _tp = traced_run()
-        events = to_chrome_trace(net.trace, durations=False)
-        assert len(events) == len(net.trace)
-        assert all(e["ph"] == "i" for e in events)
-
     def test_timestamps_in_microseconds(self):
-        trace = Trace()
-        trace.emit(2_000.0, "nic[x]", "inject", pid=1, seg=0)
-        events = to_chrome_trace(trace, durations=False)
-        assert events[0]["ts"] == pytest.approx(2.0)
+        tracer = SpanTracer()
+        tracer.begin("message", 2_000.0).close(3_500.0)
+        begin, end = spans_to_chrome_trace(tracer.spans)
+        assert begin["ts"] == pytest.approx(2.0)
+        assert end["ts"] == pytest.approx(3.5)
 
     def test_components_become_rows(self):
-        net, _tp = traced_run()
-        events = to_chrome_trace(net.trace)
-        tids = {e["tid"] for e in events}
-        assert "nic[host1]" in tids
-        assert "nic[itb]" in tids
-        assert "nic[host2]" in tids
+        _tp, tracer = traced_run()
+        tids = {e["tid"] for e in spans_to_chrome_trace(tracer.spans)}
+        assert {"mcp[host1]", "mcp[itb]", "mcp[host2]"} <= tids
+        assert any(t.startswith("wire[") for t in tids)
 
     def test_packet_duration_pair_balanced(self):
-        net, tp = traced_run()
-        events = to_chrome_trace(net.trace, durations=True)
-        begins = [e for e in events if e.get("ph") == "b"
-                  and e.get("id") == tp.pid]
-        ends = [e for e in events if e.get("ph") == "e"
-                and e.get("id") == tp.pid]
+        """The packet's message root spans send to delivery as one
+        begin/end pair."""
+        tp, tracer = traced_run()
+        (root,) = tracer.roots()
+        events = spans_to_chrome_trace(tracer.spans)
+        span_id = f"{root.trace_id}.{root.span_id}"
+        begins = [e for e in events if e["ph"] == "b" and e["id"] == span_id]
+        ends = [e for e in events if e["ph"] == "e" and e["id"] == span_id]
         assert len(begins) == 1 and len(ends) == 1
-        assert begins[0]["ts"] <= ends[0]["ts"]
+        assert begins[0]["ts"] == pytest.approx(tp.t_api_send / 1000.0)
+        assert ends[0]["ts"] == pytest.approx(tp.t_deliver / 1000.0)
 
     def test_dropped_packet_closes_span(self):
         """A packet dropped by the original firmware (unknown ITB
-        type) still gets a balanced span."""
-        cfg = NetworkConfig(
-            firmware="original", routing="updown", trace=True,
-            timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
-        )
-        net = build_network("fig6", config=cfg)
-        paths = fig6_paths(net.topo, net.roles)
-        done = net.sim.event("one")
-        net.nics[net.roles["host1"]].firmware.host_send(
-            dst=net.roles["host2"], payload_len=64, gm={"last": True},
-            on_delivered=lambda tp: done.succeed(tp), route=paths.itb5,
-        )
-        tp = net.sim.run_until_event(done)
+        type) still gets balanced spans, its attempt marked dropped."""
+        tp, tracer = traced_run(firmware="original", size=64)
         assert tp.dropped
-        events = to_chrome_trace(net.trace, durations=True)
-        phases = [e["ph"] for e in events if e.get("id") == tp.pid]
-        assert phases.count("b") == phases.count("e") == 1
+        (attempt,) = [s for s in tracer.spans if s.name == "attempt"]
+        assert attempt.status == "unknown-type"
+        events = spans_to_chrome_trace(tracer.spans)
+        begins = [e["id"] for e in events if e["ph"] == "b"]
+        ends = [e["id"] for e in events if e["ph"] == "e"]
+        assert len(begins) == len(tracer.spans)
+        assert sorted(begins) == sorted(ends)
 
 
 def span_traced_run():
     """A reliable GM send with the causal span tracer attached."""
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", reliable=True, trace=True,
+        firmware="itb", routing="updown", reliable=True,
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     net = build_network("fig6", config=cfg)
@@ -176,12 +162,12 @@ class TestSpanEvents:
         assert spans_to_chrome_trace(tracer.spans) == []
 
     def test_full_export_includes_counters_and_spans(self, tmp_path):
-        """write_chrome_trace merges instant, counter, async-span, and
-        flow events into one loadable document."""
+        """write_chrome_trace merges counter, async-span, and flow
+        events into one loadable document."""
         from repro.obs.attach import instrument_network
 
         cfg = NetworkConfig(
-            firmware="itb", routing="updown", reliable=True, trace=True,
+            firmware="itb", routing="updown", reliable=True,
             timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
         )
         net = build_network("fig6", config=cfg)
@@ -199,23 +185,24 @@ class TestSpanEvents:
         net.sim.run(until=20_000.0)
         telemetry.stop()
         series = telemetry.sampler.all_series()
-        path = write_chrome_trace(net.trace, tmp_path / "trace.json",
+        path = write_chrome_trace(tmp_path / "trace.json",
                                   series=series, spans=tracer.spans)
         blob = json.loads(path.read_text())
         phases = {e["ph"] for e in blob["traceEvents"]}
-        assert {"i", "C", "b", "e", "s", "f"} <= phases
+        assert phases == {"C", "b", "e", "s", "f"}
 
 
 class TestFileOutput:
     def test_written_file_is_loadable_json(self, tmp_path):
-        net, _tp = traced_run()
-        path = write_chrome_trace(net.trace, tmp_path / "trace.json")
+        _tp, tracer = traced_run()
+        path = write_chrome_trace(tmp_path / "trace.json",
+                                  spans=tracer.spans)
         blob = json.loads(path.read_text())
         assert "traceEvents" in blob
         assert blob["displayTimeUnit"] == "ns"
         assert len(blob["traceEvents"]) > 0
 
     def test_empty_trace_ok(self, tmp_path):
-        path = write_chrome_trace(Trace(), tmp_path / "empty.json")
+        path = write_chrome_trace(tmp_path / "empty.json")
         blob = json.loads(path.read_text())
         assert blob["traceEvents"] == []

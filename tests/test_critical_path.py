@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
 from repro.exp import ExperimentSpec, Runner
+from repro.harness.paths import fig6_paths
 from repro.network.faults import FaultEvent, FaultPlan, install_fault_plan
 from repro.obs.critical_path import (
     CATEGORIES,
@@ -26,6 +29,7 @@ from repro.obs.critical_path import (
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import SpanTracer, configure, disable, load_dump
 from repro.sim.engine import Timeout
+from tests.conftest import send_traced
 
 
 def assert_exact(breakdown):
@@ -248,6 +252,70 @@ class TestRealRunsExact:
         for bd in breakdowns:
             assert_exact(bd)
         assert any(bd.categories["retransmit"] > 0 for bd in retried)
+
+
+# ---------------------------------------------------------------------------
+# one packet at the firmware boundary: categories against the timing model
+# ---------------------------------------------------------------------------
+
+
+class TestFirmwareSends:
+    """A single packet sent at the firmware boundary (no GM host) on
+    the quiet fig6 testbed, decomposed and checked against the timing
+    constants it is built from."""
+
+    TIMINGS = Timings().with_overrides(host_jitter_sigma_ns=0.0)
+
+    def _send(self, size, itb=False):
+        cfg = NetworkConfig(firmware="itb", routing="updown",
+                            timings=self.TIMINGS)
+        net = build_network("fig6", config=cfg)
+        route = fig6_paths(net.topo, net.roles).itb5 if itb else None
+        tp, tracer = send_traced(net, net.roles["host1"],
+                                 net.roles["host2"], size=size, route=route)
+        assert not tp.dropped
+        b = breakdown_trace(tracer.spans)
+        assert_exact(b)
+        return tp, tracer, b
+
+    def test_categories_sum_to_delivery_latency(self):
+        for size, itb in ((64, False), (512, False), (512, True),
+                          (4096, True)):
+            tp, _tracer, b = self._send(size, itb)
+            assert b.total_ns == tp.t_deliver - tp.t_api_send
+            assert float(b.exact_total()) == tp.t_deliver - tp.t_api_send
+
+    def test_host_category_matches_constants(self):
+        """On the plain path the host time is SDMA (DMA setup + PCI of
+        payload and header) plus the Send machine."""
+        t = self.TIMINGS
+        _tp, _tracer, b = self._send(256)
+        expected = (t.dma_setup_ns + t.pci_time(256 + 5)
+                    + t.cycles(t.mcp_send_cycles))
+        assert b.categories["host"] == pytest.approx(expected, rel=1e-12)
+        assert b.categories["host"] == pytest.approx(1_903.75)
+
+    def test_wire_dominates_large_messages(self):
+        _tp, _tracer, b = self._send(4096)
+        assert b.categories["wire"] > 0.5 * b.total_ns
+
+    def test_itb_forward_spans_match_timings(self):
+        """Detection plus re-injection programming at the in-transit
+        host is the paper's per-ITB forward cost."""
+        _tp, tracer, _b = self._send(512, itb=True)
+        forward = sum(s.end - s.start for s in tracer.spans
+                      if s.name in ("itb_detect", "itb_program"))
+        assert forward == pytest.approx(self.TIMINGS.itb_forward_ns,
+                                        rel=1e-12)
+        assert forward == pytest.approx(1_302.9)
+
+    def test_itb_forward_hidden_by_cut_through(self):
+        """At 512 B the forward runs entirely under the segment-0 wire
+        span (re-injection starts before reception ends), so it adds
+        no exclusive ``reinject`` time."""
+        _tp, _tracer, b = self._send(512, itb=True)
+        assert b.categories["reinject"] == 0.0
+        assert b.categories["wire"] > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,6 @@ class TestLanedChannels:
         fabric, _, roles = _laned_fabric(2)
         ch = fabric.out_channel(roles["sw1"], 0)
         assert ch.resource is ch.lanes[0]
-        sentinel = object()
-        ch.resource = sentinel  # instrumentation swaps a proxy in
-        assert ch.lanes[0] is sentinel
 
     def test_utilization_snapshot_sums_lanes(self):
         fabric, _, roles = _laned_fabric(3)

@@ -9,6 +9,7 @@ from repro.core.timings import Timings
 from repro.harness.paths import fig6_paths
 from repro.core.builder import build_network
 from repro.sim.engine import Timeout
+from tests.conftest import send_traced
 
 
 def quiet_config(**kw):
@@ -16,7 +17,6 @@ def quiet_config(**kw):
         firmware="itb",
         routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
-        trace=True,
     )
     defaults.update(kw)
     return NetworkConfig(**defaults)
@@ -116,12 +116,12 @@ class TestItbForwarding:
         completes — the virtual cut-through property of Section 4."""
         net = build_network("fig6", config=quiet_config())
         paths = fig6_paths(net.topo, net.roles)
-        send_one(net, "host1", "host2", size=4096, route=paths.itb5)
-        trace = net.trace
-        reinject = trace.first("reinject_immediate")
-        complete = trace.first("itb_recv_complete")
-        assert reinject is not None and complete is not None
-        assert reinject.time < complete.time
+        tp, tracer = send_traced(net, net.roles["host1"], net.roles["host2"],
+                                 size=4096, route=paths.itb5)
+        assert not tp.dropped
+        wires = {s.attrs["seg"]: s for s in tracer.spans if s.name == "wire"}
+        assert sorted(wires) == [0, 1]
+        assert wires[1].start < wires[0].end
 
     def test_pending_path_when_engine_busy(self):
         """An in-transit packet arriving while the transit host's send

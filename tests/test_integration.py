@@ -59,7 +59,7 @@ class TestAllPairsMessaging:
         """On a network where the mapper emits ITB routes, packets
         really transit through intermediate hosts."""
         # The fig1 network guarantees at least the 4->1 pair uses an ITB.
-        net = build_network("fig1", config=quiet_cfg(trace=True))
+        net = build_network("fig1", config=quiet_cfg())
         src = net.roles["host_on_sw4"]
         dst = net.roles["host_on_sw1"]
         got = net.sim.event("got")

@@ -21,31 +21,29 @@ from repro.harness.paths import fig6_paths
 from repro.obs.attach import instrument_network
 from repro.obs.exporters import parse_prometheus_text, parse_series_csv
 from repro.obs.run import export_all, run_obs
+from tests.conftest import send_traced
 
 
 def _instrumented_fig8_run(interval_ns: float = 100.0):
-    """One packet over the Fig. 8 ITB path with full telemetry on."""
+    """One traced packet over the Fig. 8 ITB path with full telemetry
+    on; returns the network, its telemetry and the span tracer."""
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", trace=True,
+        firmware="itb", routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     net = build_network("fig6", config=cfg)
     telemetry = instrument_network(
         net, sample_interval_ns=interval_ns, profile=True)
     paths = fig6_paths(net.topo, net.roles)
-    done = net.sim.event("one")
-    net.nics[net.roles["host1"]].firmware.host_send(
-        dst=net.roles["host2"], payload_len=256, gm={"last": True},
-        on_delivered=lambda tp: done.succeed(tp), route=paths.itb5,
-    )
-    tp = net.sim.run_until_event(done)
+    _tp, tracer = send_traced(net, net.roles["host1"], net.roles["host2"],
+                              size=256, route=paths.itb5)
     telemetry.stop()
-    return net, telemetry, tp
+    return net, telemetry, tracer
 
 
 class TestWiring:
     def test_nic_stats_published_through_registry(self, fig6_routes):
-        net, telemetry, _tp = _instrumented_fig8_run()
+        net, telemetry, _tracer = _instrumented_fig8_run()
         reg = telemetry.registry
         for host, nic in net.nics.items():
             comp = f"nic[{nic.name}]"
@@ -57,7 +55,7 @@ class TestWiring:
         assert reg.get("nic_packets_forwarded", component=itb).value == 1
 
     def test_fabric_usage_published_through_registry(self):
-        net, telemetry, _tp = _instrumented_fig8_run()
+        net, telemetry, _tracer = _instrumented_fig8_run()
         reg = telemetry.registry
         usage = telemetry.usage
         assert usage is not None
@@ -72,27 +70,27 @@ class TestWiring:
         assert 0.0 < reg.get("fabric_jain_fairness").value <= 1.0
 
     def test_firmware_emits_counted(self):
-        net, telemetry, _tp = _instrumented_fig8_run()
+        net, telemetry, tracer = _instrumented_fig8_run()
         reg = telemetry.registry
-        itb = f"nic[{net.topo.node_name(net.roles['itb'])}]"
-        early = reg.get("nic_mcp_events_total", component=itb,
+        name = net.topo.node_name(net.roles["itb"])
+        early = reg.get("nic_mcp_events_total", component=f"nic[{name}]",
                         labels={"kind": "early_recv"})
+        # Every early-recv of an in-transit packet opens its buffer span.
         assert early.value == len(
-            net.trace.records(kind="early_recv", component=itb))
+            [s for s in tracer.spans
+             if s.name == "itb_buffer" and s.component == f"mcp[{name}]"])
         assert early.value >= 1
 
 
 class TestFig8OccupancyAcceptance:
     def test_itb_occupancy_nonzero_exactly_while_buffered(self):
-        net, telemetry, _tp = _instrumented_fig8_run(interval_ns=100.0)
-        itb = f"nic[{net.topo.node_name(net.roles['itb'])}]"
+        net, telemetry, tracer = _instrumented_fig8_run(interval_ns=100.0)
+        name = net.topo.node_name(net.roles["itb"])
         series = telemetry.sampler.get(
-            "nic_recv_buffer_occupancy_bytes", component=itb)
-        early = net.trace.first("early_recv")
-        release = net.trace.last("itb_buffer_release")
-        assert early is not None and release is not None
-        assert early.component == itb and release.component == itb
-        t_claim, t_free = early.time, release.time
+            "nic_recv_buffer_occupancy_bytes", component=f"nic[{name}]")
+        (buffered,) = [s for s in tracer.spans if s.name == "itb_buffer"]
+        assert buffered.component == f"mcp[{name}]"
+        t_claim, t_free = buffered.start, buffered.end
         assert t_free > t_claim
         nonzero = [p for p in series.points if p.value > 0]
         assert nonzero, "expected samples while the ITB packet was buffered"
@@ -105,7 +103,7 @@ class TestFig8OccupancyAcceptance:
                 assert p.value == 0.0
 
     def test_occupancy_matches_wire_size(self):
-        net, telemetry, _tp = _instrumented_fig8_run(interval_ns=50.0)
+        net, telemetry, _tracer = _instrumented_fig8_run(interval_ns=50.0)
         itb = f"nic[{net.topo.node_name(net.roles['itb'])}]"
         series = telemetry.sampler.get(
             "nic_recv_buffer_occupancy_bytes", component=itb)
@@ -116,7 +114,7 @@ class TestFig8OccupancyAcceptance:
 
 class TestProfilerAcceptance:
     def test_component_counts_sum_to_engine_total(self):
-        _net, telemetry, _tp = _instrumented_fig8_run()
+        _net, telemetry, _tracer = _instrumented_fig8_run()
         prof = telemetry.profiler
         assert prof.events_total > 0
         assert sum(prof.events_by_component.values()) == prof.events_total
@@ -157,7 +155,17 @@ class TestRunObs:
 
         trace = json.loads(paths["chrome_trace"].read_text())
         phases = {e["ph"] for e in trace["traceEvents"]}
-        assert "C" in phases and "i" in phases
+        assert phases == {"C"}  # packet rows come from spans only
+
+    def test_traced_export_adds_span_rows(self, tmp_path):
+        result = run_obs(topology="fig6", load=0.02, duration_ns=30_000.0,
+                         interval_ns=500.0, profile=False, trace_every=1)
+        paths = export_all(result, tmp_path)
+        assert set(paths) == {"prometheus", "json", "csv", "chrome_trace",
+                              "spans"}
+        trace = json.loads(paths["chrome_trace"].read_text())
+        phases = {e["ph"] for e in trace["traceEvents"]}
+        assert {"C", "b", "e"} <= phases
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError):

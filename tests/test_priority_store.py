@@ -80,17 +80,18 @@ class TestSendMachinePriorities:
         from repro.core.config import NetworkConfig
         from repro.core.timings import Timings
         from repro.harness.paths import fig6_paths
+        from repro.obs.tracing import SpanTracer
         from repro.sim.engine import Timeout as T
 
         cfg = NetworkConfig(
-            firmware="itb", routing="updown", trace=True,
+            firmware="itb", routing="updown",
             timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
         )
         net = build_network("fig6", config=cfg)
+        tracer = net.fabric.tracer = SpanTracer()
         paths = fig6_paths(net.topo, net.roles)
         itb_host = net.roles["itb"]
         h1, h2 = net.roles["host1"], net.roles["host2"]
-        fw = net.nics[itb_host].firmware
 
         done = net.sim.event("all")
         results = []
@@ -100,29 +101,33 @@ class TestSendMachinePriorities:
             if len(results) == 3:
                 done.succeed()
 
+        def send(nic_host, size, route=None):
+            ctx = tracer.open_message(net.sim.now, "scenario",
+                                      src=nic_host, dst=h2, length=size)
+            net.nics[nic_host].firmware.host_send(
+                dst=h2, payload_len=size, gm={"last": True},
+                on_delivered=on_final, route=route, trace=ctx)
+
         def scenario():
             # 1. Transit host starts a big send (occupies the engine).
-            fw.host_send(dst=h2, payload_len=4096, gm={"last": True},
-                         on_delivered=on_final)
+            send(itb_host, 4096)
             # 2. While it drains, an in-transit packet arrives (will be
             #    deferred: ITB-pending) AND another own send queues up.
             yield T(12_000.0)
-            net.nics[h1].firmware.host_send(
-                dst=h2, payload_len=64, gm={"last": True},
-                on_delivered=on_final, route=paths.itb5)
+            send(h1, 64, route=paths.itb5)
             yield T(500.0)
-            fw.host_send(dst=h2, payload_len=64, gm={"last": True},
-                         on_delivered=on_final)
+            send(itb_host, 64)
 
         net.sim.process(scenario(), name="scenario")
         net.sim.run_until_event(done)
         assert net.nics[itb_host].stats.itb_pending == 1
-        # Ordering proof from the trace: the re-injection's inject
-        # precedes the transit host's second own-packet inject.
-        injects = [r for r in net.trace.records(kind="inject")
-                   if r.component == f"nic[{net.topo.node_name(itb_host)}]"]
-        kinds = [("reinject" if r.detail["seg"] > 0 else "own")
-                 for r in injects]
+        # Ordering proof from the spans: the re-injection's wire span
+        # starts before the transit host's second own packet's.
+        wires = sorted((s for s in tracer.spans if s.name == "wire"
+                        and s.attrs["src"] == itb_host),
+                       key=lambda s: s.start)
+        kinds = [("reinject" if s.attrs["seg"] > 0 else "own")
+                 for s in wires]
         assert kinds == ["own", "reinject", "own"]
 
     def test_mcp_event_priorities_ordered(self):

@@ -91,6 +91,60 @@ class TestResource:
         assert res.queue_length == 2
 
 
+class TestResourceBusyTime:
+    """``grants`` counts holds as they are granted; ``busy_ns`` adds a
+    hold's length once, when it is released."""
+
+    def test_hold_counted_at_release(self, sim):
+        res = Resource(sim, capacity=2)
+        res.request(owner="a")
+        res.request(owner="b")
+        sim.schedule(10.0, lambda: res.release("a"))
+        sim.run()
+        assert res.grants == 2
+        assert res.busy_ns == 10.0  # "b" still holds: not counted yet
+        sim.schedule(5.0, lambda: res.release("b"))
+        sim.run()
+        assert res.busy_ns == 25.0
+
+    def test_backdated_hold(self, sim):
+        """A hold made real after it began (a materialised express
+        worm hold) counts from its stated start."""
+        res = Resource(sim, capacity=1)
+        sim.schedule(50.0, lambda: res.try_acquire("w", since=20.0))
+        sim.schedule(80.0, lambda: res.release("w"))
+        sim.run()
+        assert res.grants == 1
+        assert res.busy_ns == 60.0
+
+    def test_handoff_to_waiter_at_release(self, sim):
+        res = Resource(sim, capacity=1)
+        granted = []
+
+        def worker(name, start, hold):
+            yield Timeout(start)
+            yield res.request(owner=name)
+            granted.append((name, sim.now))
+            yield Timeout(hold)
+            res.release(owner=name)
+
+        sim.process(worker("a", 0.0, 10.0))
+        sim.process(worker("b", 3.0, 15.0))
+        sim.run()
+        # "b" waited 3..10 and holds from the hand-off, not its request.
+        assert granted == [("a", 0.0), ("b", 10.0)]
+        assert res.grants == 2
+        assert res.busy_ns == 10.0 + 15.0
+
+    def test_failed_acquire_and_cancel_count_nothing(self, sim):
+        res = Resource(sim, capacity=1)
+        res.try_acquire("a")
+        assert not res.try_acquire("b")
+        res.request(owner="c")
+        res.cancel("c")
+        assert res.grants == 1 and res.busy_ns == 0.0
+
+
 class TestStore:
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):

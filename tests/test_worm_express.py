@@ -23,12 +23,15 @@ from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
 from repro.harness.paths import fig6_paths
+from repro.harness.throughput import build_load_network
+from repro.harness.workloads import drive_traffic
 from repro.mcp.packet_format import encode_packet
 from repro.network.fabric import Fabric
 from repro.network.worm import Worm
 from repro.obs.tracing import SpanTracer, tree_signature
 from repro.routing.routes import SourceRoute
 from repro.sim.engine import SimulationError, Simulator
+from repro.topology.generators import random_irregular
 from repro.topology.graph import Topology
 
 
@@ -464,6 +467,40 @@ def test_random_contended_traffic_equivalent(traffic):
     st_records, st_log = _star_traffic(traffic, False)
     assert ex_records == st_records
     assert sorted(ex_log) == sorted(st_log)
+
+
+def _saturated_uniform(n_switches, topo_seed, express, horizon):
+    """Uniform up*/down* traffic at 0.06 B/ns/host: past saturation on
+    these fabrics, so worms contend at every switch."""
+    net = build_load_network(
+        random_irregular(n_switches, seed=topo_seed, hosts_per_switch=2),
+        "updown")
+    net.fabric.express_enabled = express
+    net.fabric.express_horizon = horizon
+    stats = drive_traffic(net, rate_bytes_per_ns_per_host=0.06,
+                          packet_size=512, duration_ns=150_000.0,
+                          warmup_ns=0.0, seed=7)
+    return sorted(stats.latencies_ns), stats.delivered_packets
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known divergence, not yet fixed: under saturation on multi-switch"
+    " fabrics express flights change per-packet times against the stepped"
+    " reference (39 of 233 sorted latencies with the claim horizon, 59 of"
+    " 194 without it): express header/completion entries rank among"
+    " same-instant events by launch, stepped ones by their last hop, so"
+    " same-instant events run in another order; in the second case two"
+    " worms launched at the same instant (hosts 6 and 10 to host 15) then"
+    " win a shared channel in opposite order"))
+@pytest.mark.parametrize("n_switches,topo_seed,horizon", [
+    (8, 2, True), (6, 1, False)], ids=["default", "no-horizon"])
+def test_saturated_multiswitch_equivalence(n_switches, topo_seed, horizon):
+    """Sorted per-packet latencies and delivered counts must not depend
+    on the flight mode (``express_enabled=False`` is the stepped
+    reference the goldens were captured from)."""
+    express = _saturated_uniform(n_switches, topo_seed, True, horizon)
+    stepped = _saturated_uniform(n_switches, topo_seed, False, horizon)
+    assert express == stepped
 
 
 class TestClaimHorizon:

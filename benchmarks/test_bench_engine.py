@@ -230,7 +230,7 @@ def test_bench_worm_flight(benchmark, bench_headline):
 
 def _claim_loop(lanes: int, n_claims: int = 30_000) -> float:
     """Wall time for ``n_claims`` rounds of the worm launch claim
-    sequence (``select_lanes`` -> ``lane_keys`` -> ``claim_conflicts``
+    sequence (``select_lanes`` -> ``lane_keys`` -> ``claim_horizon``
     -> ``register_claims`` -> ``release_claims``) on a multi-hop plan.
 
     This is the exact per-launch bookkeeping the virtual-channel
@@ -251,7 +251,7 @@ def _claim_loop(lanes: int, n_claims: int = 30_000) -> float:
     for _ in range(n_claims):
         chosen = fabric.select_lanes(plan)
         keys = plan.lane_keys(chosen)
-        fabric.claim_conflicts(keys, 0.0)
+        fabric.claim_horizon(keys, 0.0)
         fabric.register_claims(worm, keys)
         fabric.release_claims(worm, keys)
     return time.perf_counter() - t0
@@ -296,46 +296,3 @@ def test_bench_end_to_end_pingpong(benchmark):
     mean = benchmark(run)
     assert mean > 0
 
-
-# -- claim horizon ----------------------------------------------------------
-
-
-def _horizon_run(horizon: bool):
-    """Loaded irregular-fabric traffic run; returns (express stats,
-    delivered packets)."""
-    from repro.harness.throughput import build_load_network
-    from repro.harness.workloads import drive_traffic
-    from repro.topology.generators import random_irregular
-
-    topo = random_irregular(12, seed=5, hosts_per_switch=2)
-    net = build_load_network(topo, "updown", seed=11)
-    net.fabric.express_horizon = horizon
-    stats = drive_traffic(net, 0.08, 1024, 150_000.0, seed=7)
-    return net.fabric.express_stats, stats.delivered_packets
-
-
-def test_bench_express_horizon(benchmark, bench_headline):
-    """The claim-horizon guard: under loaded contended traffic the
-    express hit rate with partial (claim-horizon) flights must be at
-    least double the bail-on-any-conflict baseline, with identical
-    delivered-packet counts (the lanes stay observationally
-    equivalent).  ``speedup_ratio`` here is the hit-rate ratio."""
-    base_stats, base_delivered = benchmark(lambda: _horizon_run(False))
-    horizon_stats, horizon_delivered = _horizon_run(True)
-    assert horizon_delivered == base_delivered
-
-    def rate(s) -> float:
-        return s.hits / max(1, s.hits + s.fallbacks)
-
-    base_rate = rate(base_stats)
-    horizon_rate = rate(horizon_stats)
-    ratio = horizon_rate / max(base_rate, 1e-9)
-    bench_headline["speedup_ratio"] = round(ratio, 3)
-    bench_headline["base_hit_rate"] = round(base_rate, 4)
-    bench_headline["horizon_hit_rate"] = round(horizon_rate, 4)
-    bench_headline["partial_flights"] = horizon_stats.partial
-    assert horizon_stats.partial > 0
-    assert ratio >= 2.0, (
-        f"claim horizon lifts the loaded hit rate only {ratio:.2f}x"
-        f" (base {base_rate:.1%}, horizon {horizon_rate:.1%})"
-    )

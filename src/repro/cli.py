@@ -95,9 +95,8 @@ def _make_experiment_command(exp: Experiment):
         total = express.get("hits", 0) + express.get("fallbacks", 0)
         if total:
             pct = 100.0 * express["hits"] / total
-            partial = express.get("partial", 0)
             print(f"express worms: {express['hits']}/{total}"
-                  f" ({pct:.1f}% hit rate, {partial} partial,"
+                  f" ({pct:.1f}% hit rate,"
                   f" {express['stepped_hops']} stepped hops)")
         if report.saved_to:
             print(f"saved to {report.saved_to}")

@@ -200,8 +200,7 @@ class Runner:
         observations = [obs for _i, _value, obs, _ex, _sp in outcomes]
         span_dumps = [d for _i, _v, _obs, _ex, dumps in outcomes
                       for d in dumps]
-        express = {"hits": 0, "partial": 0, "fallbacks": 0,
-                   "stepped_hops": 0}
+        express = {"hits": 0, "fallbacks": 0, "stepped_hops": 0}
         for _i, _value, _obs, ex, _sp in outcomes:
             for key, v in ex.items():
                 express[key] = express.get(key, 0) + v

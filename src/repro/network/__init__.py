@@ -32,11 +32,7 @@ from repro.network.faults import (
     FaultPlan,
     install_fault_plan,
 )
-from repro.network.flow_control import (
-    LanedStopGo,
-    StopGoChannel,
-    required_slack_bytes,
-)
+from repro.network.flow_control import StopGoChannel, required_slack_bytes
 from repro.network.deadlock import (
     DeadlockReport,
     DeadlockWatchdog,
@@ -56,7 +52,6 @@ __all__ = [
     "FaultPlan",
     "FixedLanePolicy",
     "LanePolicy",
-    "LanedStopGo",
     "RoundRobinLanePolicy",
     "StopGoChannel",
     "Worm",

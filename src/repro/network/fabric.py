@@ -93,31 +93,27 @@ class Channel:
 class ExpressStats:
     """Counters for the worm express lane (see ``docs/ENGINE_FASTPATH.md``).
 
-    ``hits`` counts worms that flew the closed-form express path (fully
-    or for a clean prefix), ``partial`` counts the subset that launched
-    on a truncated claim horizon (prefix express, suffix stepped),
-    ``fallbacks`` counts launches that took the stepped generator, and
-    ``stepped_hops`` counts switch hops actually traversed hop by hop
-    (fallback launches plus the remainder of demoted express flights).
+    ``hits`` counts worms that launched on the closed-form express
+    path, ``fallbacks`` counts launches that took the stepped
+    generator, and ``stepped_hops`` counts switch hops actually
+    traversed hop by hop (fallback launches plus the remainder of
+    demoted express flights).
     """
 
-    __slots__ = ("hits", "partial", "fallbacks", "stepped_hops")
+    __slots__ = ("hits", "fallbacks", "stepped_hops")
 
     def __init__(self) -> None:
         self.hits = 0
-        self.partial = 0
         self.fallbacks = 0
         self.stepped_hops = 0
 
     def as_dict(self) -> dict:
         """The counters as a plain dict (for runner summaries)."""
-        return {"hits": self.hits, "partial": self.partial,
-                "fallbacks": self.fallbacks,
+        return {"hits": self.hits, "fallbacks": self.fallbacks,
                 "stepped_hops": self.stepped_hops}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ExpressStats hits={self.hits}"
-                f" partial={self.partial}"
                 f" fallbacks={self.fallbacks}"
                 f" stepped_hops={self.stepped_hops}>")
 
@@ -182,12 +178,6 @@ class Fabric:
         #: Gate for the worm express lane (equivalence tests and the
         #: flight microbenchmark force the stepped path through this).
         self.express_enabled = True
-        #: Gate for the claim-horizon extension: a launch whose route
-        #: conflicts only beyond some channel index still flies the
-        #: clean prefix closed-form, demoting just the contended
-        #: suffix.  Off => the PR-4 behavior (bail on any claim
-        #: intersection); the hit-rate benchmark compares both.
-        self.express_horizon = True
         self.express_stats = ExpressStats()
         #: Memoized fall-through per (in kind, out kind) — avoids the
         #: Timings method call + dict rebuild on every hop.
@@ -377,31 +367,15 @@ class Fabric:
             return plan.zero_lanes
         return self.lane_policy.lanes_for(plan, self)
 
-    def claim_conflicts(self, keys: tuple, now: float) -> bool:
-        """Process claim conflicts for a worm about to launch on the
-        lanes keyed by ``keys``.
-
-        Returns True when any in-flight worm has claimed a lane of the
-        launcher's assignment.  Any *express* worm among the claimants
-        is interrupted first — materialized or demoted (see
-        ``Worm._express_interrupted``) — because from this instant a
-        contender can observe, and queue on, its lanes.
-        """
-        return self.claim_horizon(keys, now) != len(keys)
-
     def claim_horizon(self, keys: tuple, now: float) -> int:
         """Index of the first claimed lane key, interrupting claimants.
 
         Returns ``len(keys)`` when no lane of the launcher's assignment
-        is claimed (the whole route may fly express).  A smaller value
-        is the earliest-conflict horizon: channels strictly before it
-        are unclaimed and candidates for a prefix express flight.
-
-        Every intersecting *express* claimant — on any key, not just
-        the first conflicted one — is interrupted, exactly as
-        :meth:`claim_conflicts` does: the launcher's stepped (or
-        demoted) suffix will later request those lane resources hop by
-        hop, so each virtual hold must become observable now.
+        is claimed: only then may the worm fly express.  Every
+        intersecting *express* claimant — on any key, not just the
+        first conflicted one — is interrupted first, materialized or
+        demoted (see ``Worm._express_interrupted``), because from this
+        instant the launcher can observe, and queue on, its lanes.
         """
         claimed = self._claimed_by
         horizon = len(keys)

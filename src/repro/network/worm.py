@@ -38,16 +38,8 @@ arrival and completion.  The channels are then held only *virtually*;
 every later launch first interrupts intersecting express flights
 (materialising their holds, and demoting any not-yet-acquired suffix
 back to the stepped generator) before it can observe the channels, so
-no contender can tell the difference.
-
-A route contended only from some channel onward still flies its clean
-prefix closed-form (the *claim horizon*,
-``Fabric.claim_horizon``): the clock replays through the request time
-of the first conflicted channel, where a single planned-demotion
-entry materialises the prefix holds and resumes the stepped generator
-— the contended suffix, the destination epilogue, gates, and arbiters
-all behave exactly as on the stepped path.  See the "Express worm
-flight" section of ``docs/ENGINE_FASTPATH.md`` for the invariants.
+no contender can tell the difference.  See the "Express worm flight"
+section of ``docs/ENGINE_FASTPATH.md`` for the invariants.
 """
 
 from __future__ import annotations
@@ -99,12 +91,6 @@ def _forward_delay(target_ns: float, now_ns: float) -> float:
     )
 
 
-#: Minimum clean-channel prefix worth flying closed form.  Two means
-#: at least the injection cable plus one switch output — a one-channel
-#: prefix saves nothing over going stepped from the start.
-_MIN_EXPRESS_PREFIX = 2
-
-
 class WormObserver(Protocol):
     """Destination-side hooks (implemented by the NIC firmware).
 
@@ -147,7 +133,7 @@ class Worm:
         "blocked_ns", "_held", "_held_keys", "_plan", "_lanes",
         "_lane_keys", "_claimed",
         "_express_token", "_express_live", "_express_materialized",
-        "_express_hops", "_acq", "_image_out", "_early", "_remaining",
+        "_acq", "_image_out", "_early", "_remaining",
         "_killed", "_active_proc", "_span", "_hop_times",
     )
 
@@ -192,11 +178,6 @@ class Worm:
         self._express_token = 0
         self._express_live = False
         self._express_materialized = False
-        #: Channels held virtually by the current express flight:
-        #: ``len(plan.channels)`` for a full flight, the claim-horizon
-        #: prefix length for a partial one.  Interrupt handling and the
-        #: kill-time trace replay never look past this count.
-        self._express_hops = 0
         self._acq: list[float] = []
         self._image_out: Optional[PacketImage] = None
         self._early = 0.0
@@ -276,20 +257,15 @@ class Worm:
         # Interrupt intersecting express flights *before* looking at
         # channel state (their holds must be observable from here on),
         # then claim our own lane assignment.
-        horizon = fabric.claim_horizon(self._lane_keys, sim.now)
-        fabric.register_claims(self, self._lane_keys)
+        keys = self._lane_keys
+        unclaimed = fabric.claim_horizon(keys, sim.now) == len(keys)
+        fabric.register_claims(self, keys)
         self._claimed = True
 
-        if fabric.express_enabled and not plan.has_duplicate:
-            n_channels = len(plan.channels)
-            if horizon == n_channels and self._express_eligible(plan):
-                self._launch_express(plan, n_channels)
-                return self
-            if fabric.express_horizon:
-                prefix = self._express_prefix(plan, horizon)
-                if prefix >= _MIN_EXPRESS_PREFIX:
-                    self._launch_express(plan, prefix)
-                    return self
+        if (unclaimed and fabric.express_enabled and not plan.has_duplicate
+                and self._express_eligible(plan)):
+            self._launch_express(plan)
+            return self
         fabric.express_stats.fallbacks += 1
         fabric.express_stats.stepped_hops += plan.n_hops
         yield from self._run_stepped(plan)
@@ -344,8 +320,7 @@ class Worm:
         hops = self._hop_times or []
         if not hops and self._acq:
             now = self.sim.now
-            hops = [(a, a)
-                    for a in self._acq[:self._express_hops] if a <= now]
+            hops = [(a, a) for a in self._acq if a <= now]
         if self.fabric.n_lanes > 1:
             # Lane occupancy rides on the hop spans; omitted entirely
             # on single-lane fabrics so their dumps stay byte-stable.
@@ -390,38 +365,9 @@ class Worm:
                 return False
         return True
 
-    def _express_prefix(self, plan: FlightPlan, horizon: int) -> int:
-        """Length of the clean channel prefix for a partial flight.
-
-        Channels strictly below the returned index are unclaimed
-        (``horizon`` came from the claim index), up, and their assigned
-        lanes free with empty queues.  Capped at ``n_hops`` so the
-        final channel — and with it the destination epilogue, gates,
-        and arbiter accounting — always runs stepped.
-        """
-        limit = min(horizon, plan.n_hops)
-        down = self.fabric.down_keys
-        chans = plan.channels
-        lanes = self._lanes
-        for i in range(limit):
-            ch = chans[i]
-            if down and ch.key in down:
-                return i
-            res = ch.lanes[lanes[i]]
-            if not res.free or res.queue_length:
-                return i
-        return limit
-
-    def _launch_express(self, plan: FlightPlan, hold: int) -> None:
-        """Fly ``hold`` channels of the segment in closed form.
-
-        ``hold == len(plan.channels)`` is the full express flight: two
-        calendar entries (header arrival, completion).  A smaller
-        ``hold`` is a claim-horizon prefix flight: the clock replays
-        through the request time of ``channels[hold]`` and a single
-        planned-demotion entry resumes the stepped generator there —
-        the contended suffix then requests lanes hop by hop at the
-        exact instants its stepped twin would have.
+    def _launch_express(self, plan: FlightPlan) -> None:
+        """Fly the whole segment in closed form: two calendar entries
+        (header arrival, completion).
 
         The clock replay below performs the *exact* float-addition
         sequence of the stepped generator (``now = now + delay`` per
@@ -430,11 +376,10 @@ class Worm:
         """
         sim, t = self.sim, self.timings
         chans = plan.channels
-        full = hold == len(chans)
         now = sim.now
         acq = [now]
         head = now + chans[0].prop_ns + t.link_byte_ns
-        for h in range(plan.n_hops if full else hold):
+        for h in range(plan.n_hops):
             out = chans[h + 1]
             delay = _forward_delay(head, now)
             if delay > 0.0:
@@ -443,18 +388,9 @@ class Worm:
             head = now + plan.falls[h] + out.prop_ns
 
         self._acq = acq
-        self._express_hops = hold
         self._express_live = True
-        stats = self.fabric.express_stats
-        stats.hits += 1
+        self.fabric.express_stats.hits += 1
         token = self._express_token
-        if not full:
-            # acq[hold] is the stepped request time of the first
-            # channel past the prefix — the demotion instant.
-            stats.partial += 1
-            sim.schedule_at(acq[hold],
-                            lambda: self._express_demote(token, hold))
-            return
         delay = _forward_delay(head, now)
         if delay > 0.0:
             now = now + delay
@@ -467,39 +403,6 @@ class Worm:
         else:
             c_time = h_time
         sim.schedule_at(c_time, lambda: self._express_complete(token))
-
-    def _express_demote(self, token: int, hold: int) -> None:
-        """Planned demotion of a prefix flight at ``acq[hold]``.
-
-        Reached in two states: still virtual (every prefix acquire
-        time has matured — ``acq`` is non-decreasing — so all holds
-        materialise here), or already materialised by a contender
-        interrupt (the holds are real and are skipped).  Either way
-        the stepped continuation starts, via ``process_now``, at the
-        exact calendar instant the stepped worm would have requested
-        ``channels[hold]``.
-        """
-        if token != self._express_token or self._killed:
-            return
-        plan, acq = self._plan, self._acq
-        chans = plan.channels
-        lanes, keys = self._lanes, self._lane_keys
-        self._express_live = False
-        for i in range(hold):
-            if keys[i] in self._held_keys:
-                continue
-            res = chans[i].lanes[lanes[i]]
-            ok = res.try_acquire(owner=self, since=acq[i])
-            assert ok, "express-held lane was not free at demotion"
-            self._held.append(res)
-            self._held_keys.add(keys[i])
-        if self._hop_times is not None:
-            # Prefix holds were uncontended: request == grant at the
-            # closed-form acquire instants, as the stepped generator
-            # would have recorded.
-            self._hop_times = [(a, a) for a in acq[:hold]]
-        self.fabric.express_stats.stepped_hops += plan.n_hops - (hold - 1)
-        self._spawn_demoted(hold - 1)
 
     def _express_header(self, token: int, arrival: float) -> None:
         """Early-recv notification (stepped path: after the first
@@ -593,7 +496,7 @@ class Worm:
         plan, acq = self._plan, self._acq
         chans = plan.channels
         lanes, keys = self._lanes, self._lane_keys
-        limit = self._express_hops
+        limit = len(chans)
         j = limit
         for i in range(limit):
             if acq[i] > t1:
@@ -612,10 +515,8 @@ class Worm:
             self._hop_times = [(a, a) for a in acq[:j]]
         self._express_live = False
         if j == limit:
-            # Every virtually-held channel acquired.  A full flight's
-            # header/completion entries remain valid; a prefix flight's
-            # planned demotion stays armed (token untouched) and will
-            # find its holds already real.
+            # Every channel acquired: the header/completion entries
+            # remain valid.
             self._express_materialized = True
             return
         # Immature suffix: cancel the express entries and resume the

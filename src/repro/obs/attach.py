@@ -21,9 +21,9 @@ Metric catalog (see ``docs/OBSERVABILITY.md`` for details):
   switch-to-switch channel,
 * ``fabric_{jain_fairness,max_utilization,root_concentration}`` —
   the balance summary statistics of the instrumentation module,
-* ``worm_express_hits`` / ``worm_express_partial`` /
-  ``worm_express_fallbacks`` / ``worm_stepped_hops`` — worm
-  express-lane counters (see ``docs/ENGINE_FASTPATH.md``),
+* ``worm_express_hits`` / ``worm_express_fallbacks`` /
+  ``worm_stepped_hops`` — worm express-lane counters (see
+  ``docs/ENGINE_FASTPATH.md``),
 * ``gm_retransmits`` / ``gm_timeouts`` / ``gm_dropped`` / ... — per
   host GM reliability counters (see ``docs/RELIABILITY.md``),
 * ``faults_injected`` / ``remap_events`` / ``fault_*`` — fault-plan
@@ -247,12 +247,6 @@ def _attach_express(registry: MetricsRegistry, fabric) -> None:
         "worm_express_hits", component="fabric",
         help="worms that flew the closed-form express lane",
         fn=lambda s=stats: s.hits,
-    )
-    registry.counter(
-        "worm_express_partial", component="fabric",
-        help="express launches on a truncated claim horizon"
-             " (prefix closed-form, suffix stepped)",
-        fn=lambda s=stats: s.partial,
     )
     registry.counter(
         "worm_express_fallbacks", component="fabric",

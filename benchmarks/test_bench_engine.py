@@ -228,59 +228,6 @@ def test_bench_worm_flight(benchmark, bench_headline):
     )
 
 
-def _claim_loop(lanes: int, n_claims: int = 30_000) -> float:
-    """Wall time for ``n_claims`` rounds of the worm launch claim
-    sequence (``select_lanes`` -> ``lane_keys`` -> ``claim_horizon``
-    -> ``register_claims`` -> ``release_claims``) on a multi-hop plan.
-
-    This is the exact per-launch bookkeeping the virtual-channel
-    refactor added to every flight; full-traffic runs bury it under
-    event dispatch, so it is timed in isolation here.
-    """
-    from repro.routing.spanning_tree import build_orientation
-    from repro.routing.updown import UpDownRouter
-    from repro.topology.generators import fig6_testbed
-
-    topo, roles = fig6_testbed()
-    fabric = Fabric(Simulator(), topo, Timings(), lanes=lanes)
-    router = UpDownRouter(topo, build_orientation(topo))
-    seg = router.itb_route(roles["host1"], roles["host2"]).segments[0]
-    plan = fabric.flight_plan(seg)
-    worm = object()
-    t0 = time.perf_counter()
-    for _ in range(n_claims):
-        chosen = fabric.select_lanes(plan)
-        keys = plan.lane_keys(chosen)
-        fabric.claim_horizon(keys, 0.0)
-        fabric.register_claims(worm, keys)
-        fabric.release_claims(worm, keys)
-    return time.perf_counter() - t0
-
-
-def test_bench_lane_overhead(benchmark, bench_headline):
-    """The virtual-channel refactor guard: the lanes=1 fast path
-    (``FlightPlan.keys0``/``zero_lanes``, no per-hop lane selection)
-    must stay within 5% of the generic laned claim path.  A second
-    lane forces generic per-hop selection and fresh key tuples while
-    the claims themselves stay identical, so the ratio is pure lane
-    bookkeeping — the cost the pre-refactor engine never paid."""
-    fast = benchmark(lambda: _claim_loop(1))
-    assert fast > 0
-
-    fast = _best_of(lambda: _claim_loop(1))
-    generic = _best_of(lambda: _claim_loop(2))
-    ratio = generic / fast
-    bench_headline["speedup_ratio"] = round(ratio, 3)
-    bench_headline["fast_s"] = round(fast, 6)
-    bench_headline["generic_s"] = round(generic, 6)
-    assert ratio >= 0.95, (
-        f"lanes=1 fast path is {1 / ratio:.2f}x slower than the"
-        f" generic lane path (fast {fast * 1e3:.1f} ms, generic"
-        f" {generic * 1e3:.1f} ms) — the single-lane regression"
-        f" budget is 5%"
-    )
-
-
 def test_bench_end_to_end_pingpong(benchmark):
     """Representative workload: a full fig6 ping-pong series."""
 

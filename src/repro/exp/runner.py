@@ -121,11 +121,11 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any],
              jobs: int) -> list:
     """``[fn(item) for item in items]`` over a pool of forked workers.
 
-    The package's one process pool: :class:`Runner` and
-    :func:`repro.harness.sweep.sweep` both fan out through it.  Workers
-    are forked, so they inherit the parent's module state (the
-    experiment registry) copy-on-write; ``fn`` must be
-    a module-level function and every item and result must pickle.
+    The package's one process pool: :class:`Runner` fans experiment
+    points out through it.  Workers are forked, so they inherit the
+    parent's module state (the experiment registry) copy-on-write;
+    ``fn`` must be a module-level function and every item and result
+    must pickle.
     ``pool.map`` returns results in input order, so callers merge by
     index, never by completion.  Runs serially in this process with
     ``jobs == 1``, a single item, or no ``fork`` start method.
@@ -181,6 +181,9 @@ class Runner:
         on_point:
             Progress callback ``(index, value)``, invoked in point
             order (in the parent, after merge, when parallel).
+
+        Raises ``ValueError`` when ``jobs < 1`` or the spec expands to
+        no points.
         """
         if isinstance(spec, str):
             spec = get_experiment(spec).default_spec()
@@ -191,6 +194,11 @@ class Runner:
 
         t0 = time.perf_counter()
         points = exp.points(spec)
+        if not points:
+            raise ValueError(
+                f"{spec.experiment!r} spec expands to no points (is a grid"
+                " field such as sizes or rates empty?); start from"
+                f" get_experiment({spec.experiment!r}).default_spec()")
         payloads = [(spec, i, p) for i, p in enumerate(points)]
         outcomes = fork_map(_measure_point, payloads, jobs)
 

@@ -60,7 +60,6 @@ from repro.harness.report import (
     profiler_table,
     registry_table,
 )
-from repro.harness.sweep import SweepPoint, SweepResult, sweep
 from repro.harness.persist import load_results, save_results
 from repro.harness.chrome_trace import to_counter_events, write_chrome_trace
 from repro.harness.root_study import (
@@ -86,8 +85,6 @@ __all__ = [
     "LatencySummary",
     "RootStudyResult",
     "RootStudyRow",
-    "SweepPoint",
-    "SweepResult",
     "ThroughputPoint",
     "ThroughputResult",
     "TimingSweepResult",
@@ -122,7 +119,6 @@ __all__ = [
     "save_results",
     "saturation_point",
     "summarize_latencies",
-    "sweep",
     "registry_table",
     "to_counter_events",
     "uniform_traffic",

@@ -129,32 +129,25 @@ class FlightPlan:
     distinct segment instead of once per hop per packet.
 
     Lane assignment is *not* part of the plan — it is chosen per
-    launch by the fabric's lane policy.  ``zero_lanes`` and ``keys0``
-    pre-resolve the all-lane-0 case so the single-lane fast path pays
-    no per-launch tuple building.
+    launch by the fabric's lane policy, for every lane count alike.
     """
 
-    __slots__ = ("segment", "channels", "keys", "keys0", "zero_lanes",
-                 "falls", "n_hops", "has_duplicate")
+    __slots__ = ("segment", "channels", "keys", "falls", "n_hops",
+                 "has_duplicate")
 
     def __init__(self, segment: "SourceRoute",
                  channels: tuple[Channel, ...]) -> None:
         self.segment = segment
         self.channels = channels
         self.keys = tuple(ch.key for ch in channels)
-        self.keys0 = tuple(ch.lane_key(0) for ch in channels)
-        self.zero_lanes = (0,) * len(channels)
         self.n_hops = len(channels) - 1
         self.has_duplicate = len(set(self.keys)) != len(self.keys)
         self.falls: tuple[float, ...] = ()  # filled by Fabric.flight_plan
 
     def lane_keys(self, lanes: tuple[int, ...]) -> tuple:
         """Per-channel lane keys for one launch's lane assignment."""
-        if lanes is self.zero_lanes:
-            return self.keys0
-        return tuple(
-            (k[0], k[1], lane) for k, lane in zip(self.keys, lanes)
-        )
+        return tuple([(link_id, direction, lane) for (link_id, direction), lane
+                      in zip(self.keys, lanes)])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FlightPlan {self.segment!r} hops={self.n_hops}>"
@@ -358,13 +351,7 @@ class Fabric:
         return plan
 
     def select_lanes(self, plan: FlightPlan) -> tuple[int, ...]:
-        """One lane per plan channel for a launch (policy-delegated).
-
-        The single-lane fabric returns the plan's cached zero tuple —
-        the identity answer at zero per-launch cost.
-        """
-        if self.n_lanes == 1:
-            return plan.zero_lanes
+        """One lane per plan channel for a launch (policy-delegated)."""
         return self.lane_policy.lanes_for(plan, self)
 
     def claim_horizon(self, keys: tuple, now: float) -> int:

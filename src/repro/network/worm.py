@@ -7,11 +7,12 @@ at switch output ports, per lane); the fall-through latency of each
 switch depends on the input/output port kinds.  Lanes are held until
 the tail drains at the destination — the behaviour of Myrinet's
 Stop&Go flow control, whose slack buffers are far smaller than a
-packet, so a blocked packet effectively holds its whole path.  On the
-default single-lane fabric the lane assignment is identically zero
-and "lane" reads as "channel"; with virtual-channel lanes configured
-the fabric's lane policy picks one lane per channel at launch, fixed
-for the flight.
+packet, so a blocked packet effectively holds its whole path.  A worm
+therefore always holds one contiguous window of its route, a prefix
+of its flight plan's channels.  On the default single-lane fabric the
+lane assignment is identically zero and "lane" reads as "channel";
+with virtual-channel lanes configured the fabric's lane policy picks
+one lane per channel at launch, fixed for the flight.
 
 The destination NIC is notified twice:
 
@@ -37,9 +38,11 @@ path performs) and just two calendar entries are scheduled, header
 arrival and completion.  The channels are then held only *virtually*;
 every later launch first interrupts intersecting express flights
 (materialising their holds, and demoting any not-yet-acquired suffix
-back to the stepped generator) before it can observe the channels, so
-no contender can tell the difference.  See the "Express worm flight"
-section of ``docs/ENGINE_FASTPATH.md`` for the invariants.
+to the stepped lane from its first immature channel) before it can
+observe the channels, so no contender can tell the difference.  A
+fallback launch is the same stepped lane entered at channel 0.  See
+the "Express worm flight" section of ``docs/ENGINE_FASTPATH.md`` for
+the invariants.
 """
 
 from __future__ import annotations
@@ -130,9 +133,8 @@ class Worm:
     __slots__ = (
         "sim", "fabric", "timings", "segment", "image", "observer", "meta",
         "worm_id", "inject_time", "header_time", "complete_time",
-        "blocked_ns", "_held", "_held_keys", "_plan", "_lanes",
-        "_lane_keys", "_claimed",
-        "_express_token", "_express_live", "_express_materialized",
+        "blocked_ns", "_held", "_plan", "_lanes", "_lane_keys", "_claimed",
+        "_express_token", "_express_live",
         "_acq", "_image_out", "_early", "_remaining",
         "_killed", "_active_proc", "_span", "_hop_times",
     )
@@ -162,9 +164,9 @@ class Worm:
         self.header_time: Optional[float] = None
         self.complete_time: Optional[float] = None
         self.blocked_ns: float = 0.0
-        #: Lane resources held (grant order) and their lane keys.
+        #: Lane resources held: always those of ``channels[:len(_held)]``
+        #: of the flight plan, in route order.
         self._held: list = []
-        self._held_keys: set[tuple[int, int, int]] = set()
         self._plan: Optional[FlightPlan] = None
         #: Per-channel lane assignment and lane keys, chosen by the
         #: fabric's lane policy at launch and fixed for the flight.
@@ -177,7 +179,6 @@ class Worm:
         # token at schedule time and no-op on mismatch).
         self._express_token = 0
         self._express_live = False
-        self._express_materialized = False
         self._acq: list[float] = []
         self._image_out: Optional[PacketImage] = None
         self._early = 0.0
@@ -198,7 +199,7 @@ class Worm:
     def launch(self) -> None:
         """Start the worm process at the current simulation time."""
         self._active_proc = self.sim.process(
-            self._run(), name=f"worm{self.worm_id}")
+            self._drive(self._flight()), name=f"worm{self.worm_id}")
 
     def kill(self) -> None:
         """Tear down an in-flight worm (fault injection).
@@ -221,15 +222,20 @@ class Worm:
             # flight): settle the channel state synchronously.
             self._abort()
 
-    def _run(self):
+    def _drive(self, stage):
+        """Body of every process that drives the worm (the launch, a
+        demoted continuation, a gated tail): a fault interrupt tears
+        the worm down, and a head lost at a down cable also reports the
+        packet lost."""
         try:
-            yield from self._flight()
+            yield from stage
         except Interrupt:
             self._abort()
         except _LinkDown:
             self._abort()
-            self._notify_lost()
-        return self
+            hook = self.fabric.on_worm_lost
+            if hook is not None:
+                hook(self)
 
     def _flight(self):
         sim, fabric = self.sim, self.fabric
@@ -265,11 +271,10 @@ class Worm:
         if (unclaimed and fabric.express_enabled and not plan.has_duplicate
                 and self._express_eligible(plan)):
             self._launch_express(plan)
-            return self
+            return
         fabric.express_stats.fallbacks += 1
         fabric.express_stats.stepped_hops += plan.n_hops
-        yield from self._run_stepped(plan)
-        return self
+        yield from self._stepped_from(0)
 
     # -- span tracing ---------------------------------------------------
 
@@ -344,14 +349,17 @@ class Worm:
 
     # -- express lane ---------------------------------------------------
 
+    def _arbiter(self):
+        """The destination NIC's memory arbiter, if it has one."""
+        return getattr(getattr(self.observer, "nic", None), "arbiter", None)
+
     def _express_eligible(self, plan: FlightPlan) -> bool:
         """Whole-route-free check (claim conflicts already handled)."""
         # A destination NIC with an *enabled* memory arbiter derives
         # engine speeds from live counters; the express lane would
         # start its recv DMA accounting at header time instead of
         # head-arrival time, which that arbiter could observe.
-        arbiter = getattr(getattr(self.observer, "nic", None),
-                          "arbiter", None)
+        arbiter = self._arbiter()
         if arbiter is not None and arbiter.enabled:
             return False
         down = self.fabric.down_keys
@@ -409,93 +417,39 @@ class Worm:
         ``early_recv_bytes`` landed)."""
         if token != self._express_token:
             return
-        sim = self.sim
-        self.header_time = arrival
-        self.image = self._image_out
-        arbiter = getattr(getattr(self.observer, "nic", None),
-                          "arbiter", None)
-        if arbiter is not None:
-            arbiter.engine_start("recv_dma")
-        gate = self.observer.on_header(self, sim.now)
+        arbiter = self._head_arrived(arrival)
+        gate = self.observer.on_header(self, self.sim.now)
         if gate is None:
             return  # completion entry stays armed
-        # Receive-buffer backpressure: the tail demotes to a process
-        # that waits out the gate (and the remaining bytes) exactly as
-        # the stepped path would.
+        # Receive-buffer backpressure: the tail moves to a process that
+        # waits out the gate (and the remaining bytes) exactly as the
+        # stepped path would.
         self._express_token += 1  # cancel the scheduled completion
-        self._active_proc = sim.process(
-            self._gated_tail(gate, arbiter),
+        self._active_proc = self.sim.process(
+            self._drive(self._tail(arbiter, gate)),
             name=f"worm{self.worm_id}-gated")
-
-    def _gated_tail(self, gate, arbiter):
-        sim = self.sim
-        try:
-            try:
-                yield gate
-                if self._remaining > 0:
-                    yield Timeout(self._remaining)
-            finally:
-                if arbiter is not None:
-                    arbiter.engine_stop("recv_dma")
-        except Interrupt:
-            self._abort()
-            return
-        self.complete_time = sim.now
-        self._express_release()
-        self._trace_close()
-        self.observer.on_complete(self, sim.now)
 
     def _express_complete(self, token: int) -> None:
         if token != self._express_token:
             return
-        sim = self.sim
-        arbiter = getattr(getattr(self.observer, "nic", None),
-                          "arbiter", None)
+        arbiter = self._arbiter()
         if arbiter is not None:
             arbiter.engine_stop("recv_dma")
-        self.complete_time = sim.now
-        self._express_release()
-        self._trace_close()
-        self.observer.on_complete(self, sim.now)
-
-    def _express_release(self) -> None:
-        """Tail drained: settle channel holds and drop claims."""
-        if self._hop_times is not None and not self._hop_times:
-            # Fully virtual flight: replay the closed-form acquire
-            # clock into the hop record (uncontended, so request ==
-            # grant — bit-identical to the stepped lane).
-            self._hop_times = [(a, a) for a in self._acq]
-        self._express_live = False
-        if self._express_materialized or self._held:
-            self._release_all()
-            return
-        # Fully virtual flight: nothing ever queued on these lanes
-        # (any contender would have materialised them), so only the
-        # lanes' load counters need the holds added, as a release
-        # would have added them.
-        acq = self._acq
-        lanes = self._lanes
-        t_release = self.complete_time
-        for i, ch in enumerate(self._plan.channels):
-            res = ch.lanes[lanes[i]]
-            res.grants += 1
-            res.busy_ns += t_release - acq[i]
-        self._release_claims()
+        self._complete()
 
     def _express_interrupted(self, t1: float) -> None:
         """A contender is about to look at our channels (time ``t1``).
 
         Materialise every hold whose closed-form acquire time has
         matured (each hold starts at that time), and demote any immature
-        suffix back to the stepped generator at its natural request
-        time.  Full demotion can only happen before header arrival —
-        by then every acquire time has matured — so the scheduled
-        header/complete entries are kept whenever the whole path
-        materialises.
+        suffix to the stepped lane at its natural request time.  Full
+        demotion can only happen before header arrival — by then every
+        acquire time has matured — so the scheduled header/complete
+        entries are kept whenever the whole path materialises.
         """
         plan, acq = self._plan, self._acq
         chans = plan.channels
-        lanes, keys = self._lanes, self._lane_keys
+        lanes = self._lanes
         limit = len(chans)
         j = limit
         for i in range(limit):
@@ -507,7 +461,6 @@ class Worm:
             ok = res.try_acquire(owner=self, since=acq[i])
             assert ok, "express-held lane was not free at interrupt"
             self._held.append(res)
-            self._held_keys.add(keys[i])
         if self._hop_times is not None:
             # Materialised holds were uncontended, so request == grant
             # at the closed-form acquire instants — exactly what the
@@ -517,197 +470,164 @@ class Worm:
         if j == limit:
             # Every channel acquired: the header/completion entries
             # remain valid.
-            self._express_materialized = True
             return
         # Immature suffix: cancel the express entries and resume the
-        # stepped generator at the instant it would have requested the
-        # next channel.
+        # stepped lane from channel j at the instant the stepped worm
+        # would have requested it.
         self._express_token += 1
         self.fabric.express_stats.stepped_hops += plan.n_hops - (j - 1)
-        hop = j - 1
-        sim = self.sim
+        self.sim.schedule_at(acq[j], lambda: self._spawn_demoted(j))
+
+    def _spawn_demoted(self, index: int) -> None:
+        if self._killed:
+            return
         # process_now, not process: the continuation's first action is
         # the channel request the stepped worm would have made at this
         # exact calendar position, and it must not lose same-time FIFO
         # races through an extra immediate-lane hop.
-        sim.schedule_at(acq[j], lambda: self._spawn_demoted(hop))
-
-    def _spawn_demoted(self, hop: int) -> None:
-        if self._killed:
-            return
         self._active_proc = self.sim.process_now(
-            self._demoted_tail(hop), name=f"worm{self.worm_id}-demoted")
-
-    def _demoted_tail(self, hop: int):
-        """Stepped continuation from switch hop ``hop`` onwards.
-
-        Entered at the natural request time of ``channels[hop + 1]``;
-        the prefix up to ``channels[hop]`` is already held with exact
-        stepped timestamps.
-        """
-        try:
-            yield from self._demoted_tail_body(hop)
-        except Interrupt:
-            self._abort()
-        except _LinkDown:
-            self._abort()
-            self._notify_lost()
-
-    def _demoted_tail_body(self, hop: int):
-        sim = self.sim
-        plan = self._plan
-        out = plan.channels[hop + 1]
-        block_start = sim.now
-        yield from self._acquire(out, hop + 1)
-        self.blocked_ns += sim.now - block_start
-        if self._hop_times is not None:
-            self._hop_times.append((block_start, sim.now))
-        head_at_input = sim.now + plan.falls[hop] + out.prop_ns
-
-        for h in range(hop + 1, plan.n_hops):
-            out = plan.channels[h + 1]
-            delay = _forward_delay(head_at_input, sim.now)
-            if delay > 0.0:
-                yield Timeout(delay)
-            block_start = sim.now
-            yield from self._acquire(out, h + 1)
-            self.blocked_ns += sim.now - block_start
-            if self._hop_times is not None:
-                self._hop_times.append((block_start, sim.now))
-            head_at_input = sim.now + plan.falls[h] + out.prop_ns
-
-        delay = _forward_delay(head_at_input, sim.now)
-        if delay > 0.0:
-            yield Timeout(delay)
-        yield from self._finish_stepped()
+            self._drive(self._stepped_from(index)),
+            name=f"worm{self.worm_id}-demoted")
 
     # -- stepped lane ---------------------------------------------------
 
-    def _run_stepped(self, plan: FlightPlan):
-        sim = self.sim
-        t = self.timings
+    def _stepped_from(self, index: int):
+        """Advance the header hop by hop from ``channels[index]`` on.
 
-        # Injection channel: host NIC -> first switch.  The NIC's send
-        # DMA only starts when the wire is free (Stop&Go at the source).
-        out = plan.channels[0]
-        block_start = sim.now
-        yield from self._acquire(out, 0)
-        if self._hop_times is not None:
-            self._hop_times.append((block_start, sim.now))
-        # Leading byte reaches the first switch after propagation + one
-        # byte time on the wire.
-        head_at_input = sim.now + out.prop_ns + t.link_byte_ns
-
-        for h in range(plan.n_hops):
-            out = plan.channels[h + 1]
-            # Routing decision + crossbar setup happen as the header
-            # arrives; the output may be busy (wormhole blocking).
-            delay = _forward_delay(head_at_input, sim.now)
-            if delay > 0.0:
-                yield Timeout(delay)
+        A fallback launch enters at channel 0; a demoted express flight
+        enters at its first immature channel, holding every channel
+        before it, at the instant its stepped twin would request it.
+        Each hop requests the next lane (the output may be busy:
+        wormhole blocking) and then waits for the head to reach the
+        next input.
+        """
+        sim, fabric, plan = self.sim, self.fabric, self._plan
+        chans, lanes, keys = plan.channels, self._lanes, self._lane_keys
+        held = self._held
+        for i in range(index, len(chans)):
+            out = chans[i]
+            if keys[i] in keys[:len(held)]:
+                # A wormhole packet that routes back onto a lane it
+                # still occupies waits for itself forever — this
+                # deadlocks on real hardware too.  Fail loudly so
+                # hand-built test routes get a diagnosis, not a hang.
+                raise RuntimeError(
+                    f"worm {self.worm_id} re-enters channel {out!r} it"
+                    " already holds (self-deadlocking route)"
+                )
+            down = fabric.down_keys
+            if down and out.key in down:
+                # The output port feeding this cable is dead: the head
+                # cannot advance and the packet is lost on the wire.
+                raise _LinkDown(out)
+            res = out.lanes[lanes[i]]
             block_start = sim.now
-            yield from self._acquire(out, h + 1)
-            self.blocked_ns += sim.now - block_start
+            yield res.request(owner=self)
+            held.append(res)
+            if i:
+                self.blocked_ns += sim.now - block_start
+                head = sim.now + plan.falls[i - 1] + out.prop_ns
+            else:
+                # Injection: the NIC's send DMA starts once the wire is
+                # free (Stop&Go at the source), and the leading byte
+                # reaches the first switch after propagation plus one
+                # byte time on the wire.
+                head = sim.now + out.prop_ns + self.timings.link_byte_ns
             if self._hop_times is not None:
                 self._hop_times.append((block_start, sim.now))
-            head_at_input = sim.now + plan.falls[h] + out.prop_ns
+            # The head reaches the next switch (routing decision and
+            # crossbar setup happen as it arrives) or, after the last
+            # channel, the destination NIC.
+            delay = _forward_delay(head, sim.now)
+            if delay > 0.0:
+                yield Timeout(delay)
+        yield from self._tail(self._head_arrived(sim.now))
 
-        # Head (first byte past all switches) reaches the destination NIC.
-        delay = _forward_delay(head_at_input, sim.now)
-        if delay > 0.0:
-            yield Timeout(delay)
-        yield from self._finish_stepped()
+    # -- destination ----------------------------------------------------
 
-    def _finish_stepped(self):
-        """Destination-side epilogue shared by every stepped variant."""
-        sim = self.sim
-        self.header_time = sim.now
+    def _head_arrived(self, t: float):
+        """The head reached the destination NIC at ``t``: record it and
+        start the receive DMA, which streams the packet into SRAM (and
+        feeds the LANai memory arbiter, returned if there is one)."""
+        self.header_time = t
         self.image = self._image_out  # route bytes consumed; NIC sees type
-
-        # The destination NIC's receive packet DMA streams the packet
-        # into SRAM from here on (feeds the LANai memory arbiter).
-        arbiter = getattr(getattr(self.observer, "nic", None),
-                          "arbiter", None)
+        arbiter = self._arbiter()
         if arbiter is not None:
             arbiter.engine_start("recv_dma")
+        return arbiter
+
+    def _tail(self, arbiter, gate=None):
+        """Receive epilogue of every process-driven flight.
+
+        The stepped lane enters at head arrival, with no ``gate`` yet:
+        the early-recv notification comes once the first bytes land.
+        An express flight stalled by its ``on_header`` enters with that
+        gate.  The packet stalls on the wire, channels held, until the
+        gate triggers (Stop&Go backpressure); then the remaining bytes
+        stream in at link rate (the body follows the header with no
+        further per-switch cost).
+        """
         try:
-            # Early-recv notification after the first few bytes land.
-            # The observer may return a gate event (no receive buffer
-            # free): the packet then stalls on the wire, channels held
-            # — Stop&Go backpressure.
-            yield Timeout(self._early)
-            gate = self.observer.on_header(self, sim.now)
+            if gate is None:
+                yield Timeout(self._early)
+                gate = self.observer.on_header(self, self.sim.now)
             if gate is not None:
                 yield gate
-
-            # Remaining bytes stream in at link rate (cut-through
-            # pipeline: the body follows the header with no further
-            # per-switch cost).
             if self._remaining > 0:
                 yield Timeout(self._remaining)
         finally:
             if arbiter is not None:
                 arbiter.engine_stop("recv_dma")
-        self.complete_time = sim.now
-        self._release_all()
+        self._complete()
+
+    def _complete(self) -> None:
+        """The tail drained: settle the holds, close the span, notify."""
+        now = self.sim.now
+        self.complete_time = now
+        self._express_live = False
+        if self._held:
+            self._release_all()
+        else:
+            # Fully virtual express flight: nothing ever queued on its
+            # lanes (a contender would have materialised them), so
+            # only the lanes' load counters need the holds added, as a
+            # release would have added them.
+            acq, lanes = self._acq, self._lanes
+            for i, ch in enumerate(self._plan.channels):
+                res = ch.lanes[lanes[i]]
+                res.grants += 1
+                res.busy_ns += now - acq[i]
+            self._release_claims()
         self._trace_close()
-        self.observer.on_complete(self, sim.now)
+        self.observer.on_complete(self, now)
 
     # ------------------------------------------------------------------
 
-    def _acquire(self, channel: Channel, index: int):
-        key = self._lane_keys[index]
-        if key in self._held_keys:
-            # A wormhole packet that routes back onto a lane it still
-            # occupies waits for itself forever — this deadlocks on
-            # real hardware too.  Fail loudly so hand-built test
-            # routes get a diagnosis, not a hang.
-            raise RuntimeError(
-                f"worm {self.worm_id} re-enters channel {channel!r} it"
-                " already holds (self-deadlocking route)"
-            )
-        down = self.fabric.down_keys
-        if down and channel.key in down:
-            # The output port feeding this cable is dead: the head
-            # cannot advance and the packet is lost on the wire.
-            raise _LinkDown(channel)
-        res = channel.lanes[self._lanes[index]]
-        req = res.request(owner=self)
-        yield req
-        self._held.append(res)
-        self._held_keys.add(key)
-
     def _abort(self) -> None:
-        """Fault teardown: cancel queued requests, settle stray grants,
-        and release every hold and claim.
+        """Fault teardown: cancel a queued request, settle a stray
+        grant, and release every hold and claim.
 
-        A request granted in the same instant the worm was killed (the
-        holder released just before the interrupt landed) leaves the
-        worm in the resource's holder list without a ``_held`` entry;
-        such grants are released here so the channel is not wedged.
+        The holds are a prefix of the route, so the one lane the worm
+        may have requested without holding it yet is the next one,
+        ``channels[len(_held)]``.  A request granted in the same
+        instant the worm was killed (the holder released just before
+        the interrupt landed) leaves the worm among that lane's holders
+        without a ``_held`` entry; it is released here so the channel
+        is not wedged.
         """
-        plan = self._plan
-        if plan is not None:
-            lanes, keys = self._lanes, self._lane_keys
-            for i, ch in enumerate(plan.channels):
-                if keys[i] in self._held_keys:
-                    continue
-                res = ch.lanes[lanes[i]]
-                if not res.cancel(self) and self in res.holders():
-                    res.release(owner=self)
+        plan, i = self._plan, len(self._held)
+        if plan is not None and i < len(plan.channels):
+            res = plan.channels[i].lanes[self._lanes[i]]
+            if (not res.cancel(self) and self in res.holders()
+                    and res not in self._held):
+                res.release(owner=self)
         self._release_all()
         self._trace_close("killed")
-
-    def _notify_lost(self) -> None:
-        hook = self.fabric.on_worm_lost
-        if hook is not None:
-            hook(self)
 
     def _release_all(self) -> None:
         for res in self._held:
             res.release(owner=self)
         self._held.clear()
-        self._held_keys.clear()
         self._release_claims()
 
     def _release_claims(self) -> None:

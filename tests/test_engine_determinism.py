@@ -55,6 +55,19 @@ class TestGoldenDocuments:
         )
         assert got == (GOLDEN / "throughput.json").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_fault_campaign_byte_identical(self, tmp_path, jobs):
+        """Packet loss, corruption and a scheduled fault campaign: GM's
+        go-back-N recovery and the fabric's fault events, byte for
+        byte (CI's fault-smoke arguments)."""
+        got = _run_cli(
+            tmp_path, f"fault_campaign_j{jobs}.json", "run",
+            "fault-campaign", "--messages", "8", "--loss", "0.0", "0.2",
+            "--corrupt", "0.1", "--schedules", "none", "campaign",
+            "--seed", "13", "--jobs", jobs,
+        )
+        assert got == (GOLDEN / "fault_campaign.json").read_bytes()
+
 
 def _oracle_order(ops):
     """Reference dispatch order: a single (time, priority, seq) heap
@@ -131,6 +144,7 @@ class TestLaneInterleaving:
 
 class TestGoldenFilesAreCanonical:
     def test_golden_docs_parse_and_carry_format_version(self):
-        for name in ("fig7.json", "fig8.json", "throughput.json"):
+        for name in ("fig7.json", "fig8.json", "throughput.json",
+                     "fault_campaign.json"):
             doc = json.loads((GOLDEN / name).read_text())
             assert doc["format_version"] == 2, name

@@ -60,6 +60,14 @@ class TestRunner:
         with pytest.raises(ValueError):
             Runner().run(SWEEP_SPEC, jobs=0)
 
+    @pytest.mark.parametrize("experiment", ["fig7", "fig8", "throughput",
+                                            "apps", "vc-study"])
+    def test_spec_without_points_raises(self, experiment):
+        """A bare spec leaves the experiment's grid empty: the run
+        must fail naming the experiment, not return nothing."""
+        with pytest.raises(ValueError, match=experiment):
+            Runner().run(ExperimentSpec(experiment=experiment))
+
     def test_accepts_experiment_name(self):
         report = Runner().run(
             get_experiment("root-study").default_spec().replace(

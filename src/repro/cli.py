@@ -1,30 +1,32 @@
-"""Command-line interface: ``python -m repro <experiment> [options]``.
+"""Command-line interface: ``python -m repro <command> [options]``.
 
-Experiment subcommands are generated from the unified experiment
-registry (:mod:`repro.exp`): every registered experiment gets a
-top-level subcommand (``repro fig7``, ``repro throughput``, ...) and
-the same spelled out as ``repro run <name>``; ``repro list`` shows
-what is registered.  Each generated subcommand accepts ``--jobs N``
-(fan independent points over a process pool; results are identical to
-a serial run) and ``--save FILE`` (persist the spec-keyed result
-document).
+Experiment commands are generated from the unified experiment
+registry (:mod:`repro.exp`): ``repro run <name>`` runs a registered
+experiment, and ``repro list`` shows what is registered.  Every
+``repro run <name>`` accepts
+
+* ``--jobs N`` — fan independent points over a process pool (results
+  are identical to a serial run),
+* ``--save FILE`` — persist the spec-keyed result document,
+* ``--metrics-out DIR`` — observe every build (metrics registry,
+  sampled gauge series, engine profile) and write each build's
+  telemetry files to ``DIR/p<point>-b<build>/``,
+* ``--trace-every N`` — with ``--metrics-out``, span-trace every Nth
+  message of every build (adds ``spans.json`` and the chrome trace's
+  span rows).
 
 Hand-written subcommands cover everything that is not a registered
 experiment:
 
 * ``fig1`` — Figure 1 route analysis,
+* ``topo`` — generate a topology from a spec string and describe it,
 * ``discover`` — run the mapper's exploration on a topology,
 * ``validate`` — measure every quick-checkable paper claim and print
   one verdict table (exit code reflects the outcome),
-* ``all`` — regenerate the figure results and persist them to JSON
-  (``--save results.json``) for EXPERIMENTS.md refreshes,
-* ``obs`` — run an instrumented workload and dump the unified
-  telemetry (metrics, sampled time series, engine profile) as
-  Prometheus text, JSON, CSV, and a chrome trace with counter tracks,
-* ``trace`` — run a traced workload and inspect the causal span trees:
-  ``summarize`` (top-N slowest messages as ASCII waterfalls),
-  ``critical-path`` (exclusive per-category latency attribution), and
-  ``export`` (canonical span dump + chrome trace with flow arrows),
+* ``trace`` — inspect a span dump (a ``spans.json`` written by
+  ``repro run <name> --metrics-out DIR --trace-every N``):
+  ``summarize`` (top-N slowest messages as ASCII waterfalls) and
+  ``critical-path`` (exclusive per-category latency attribution),
 * ``bench-report`` — tabulate the ``BENCH_*.json`` trajectory files
   the benchmark suite writes, optionally failing on speedup-ratio
   regressions against a committed baseline.
@@ -34,11 +36,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.exp import Experiment, list_experiments
-from repro.harness.fig7 import DEFAULT_SIZES, run_fig7
-from repro.harness.fig8 import run_fig8
 from repro.harness.report import format_table
 
 __all__ = ["main"]
@@ -70,26 +71,33 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _sizes(args) -> tuple[int, ...]:
-    if args.full:
-        return DEFAULT_SIZES
-    return (16, 128, 1024, 4096)
-
-
 # ---------------------------------------------------------------------------
 # registry-generated experiment commands
 # ---------------------------------------------------------------------------
 
 
-def _make_experiment_command(exp: Experiment):
+def _make_experiment_command(exp: Experiment,
+                             parser: argparse.ArgumentParser):
     """The handler of one registry-generated experiment subcommand."""
 
     def cmd(args) -> int:
         from repro.exp import Runner
+        from repro.obs import tracing
 
+        if args.trace_every and not args.metrics_out:
+            parser.error("--trace-every requires --metrics-out")
         spec = exp.spec_from_args(args)
-        report = Runner().run(spec, jobs=args.jobs,
-                              save=args.save or None)
+        if args.metrics_out:
+            spec = spec.replace(observe=True)
+        if args.trace_every:
+            # Forked workers inherit the builder's tracer factory.
+            tracing.configure(args.trace_every)
+        try:
+            report = Runner().run(spec, jobs=args.jobs,
+                                  save=args.save or None)
+        finally:
+            if args.trace_every:
+                tracing.disable()
         print(exp.render(spec, report.result, args))
         express = report.express
         total = express.get("hits", 0) + express.get("fallbacks", 0)
@@ -100,6 +108,17 @@ def _make_experiment_command(exp: Experiment):
                   f" {express['stepped_hops']} stepped hops)")
         if report.saved_to:
             print(f"saved to {report.saved_to}")
+        if args.metrics_out:
+            n_builds = 0
+            for point, builds in enumerate(report.observations):
+                for build, files in enumerate(builds):
+                    out = Path(args.metrics_out) / f"p{point:03d}-b{build}"
+                    out.mkdir(parents=True, exist_ok=True)
+                    for name, text in files.items():
+                        (out / name).write_text(text)
+                    n_builds += 1
+            print(f"telemetry of {n_builds} builds written under"
+                  f" {args.metrics_out}")
         return 0
 
     return cmd
@@ -108,7 +127,8 @@ def _make_experiment_command(exp: Experiment):
 def _add_experiment_arguments(p: argparse.ArgumentParser,
                               exp: Experiment) -> None:
     """Add one experiment's declared options plus the shared runner
-    options (``--jobs``, ``--save``) to a subparser."""
+    options (``--jobs``, ``--save``, ``--metrics-out``,
+    ``--trace-every``) to a subparser."""
     for opt in exp.cli_options:
         p.add_argument(*opt.flags, **opt.kwargs)
     p.add_argument("--jobs", type=_positive_int, default=1,
@@ -116,7 +136,13 @@ def _add_experiment_arguments(p: argparse.ArgumentParser,
                         " (results are identical to --jobs 1)")
     p.add_argument("--save", type=str, default="",
                    help="persist the result document to this JSON file")
-    p.set_defaults(func=_make_experiment_command(exp))
+    p.add_argument("--metrics-out", type=str, default="",
+                   help="observe every build and write its telemetry"
+                        " files to DIR/p<point>-b<build>/")
+    p.add_argument("--trace-every", type=_positive_int, default=None,
+                   help="span-trace every Nth message (1 = all);"
+                        " needs --metrics-out")
+    p.set_defaults(func=_make_experiment_command(exp, p))
 
 
 def _cmd_list(_args) -> int:
@@ -229,122 +255,26 @@ def _cmd_validate(args) -> int:
     return 0 if report.all_hold else 1
 
 
-def _cmd_all(args) -> int:
-    """Regenerate fig7/fig8 (+ optional throughput) and persist."""
-    from repro.harness.persist import save_results
-    from repro.harness.throughput import run_throughput
-
-    sizes = _sizes(args)
-    results = {
-        "fig7": run_fig7(sizes=sizes, iterations=args.iterations),
-        "fig8": run_fig8(sizes=sizes, iterations=args.iterations),
-    }
-    if args.throughput:
-        results["throughput"] = run_throughput(
-            n_switches=args.switches, packet_size=512,
-            rates=(0.02, 0.06, 0.12), duration_ns=150_000.0,
-            warmup_ns=30_000.0, hosts_per_switch=2,
-        )
-    f7, f8 = results["fig7"], results["fig8"]
-    print(f"fig7: avg overhead {f7.mean_overhead_ns:.0f} ns"
-          " (paper ~125 ns)")
-    print(f"fig8: per-ITB overhead {f8.mean_overhead_ns / 1000:.2f} us"
-          " (paper ~1.3 us)")
-    if args.throughput:
-        print("throughput: peak ratio"
-              f" {results['throughput'].throughput_ratio:.2f}x")
-    if args.save:
-        path = save_results(args.save, results,
-                            extra={"iterations": args.iterations})
-        print(f"saved to {path}")
-    return 0
-
-
-def _cmd_obs(args) -> int:
-    from repro.harness.report import (profiler_table, quantile_cells,
-                                      registry_table)
-    from repro.obs.run import export_all, run_obs
-
-    if args.interval <= 0:
-        print("repro obs: error: --interval must be positive: "
-              f"{args.interval}", file=sys.stderr)
-        return 2
-    r = run_obs(
-        topology=args.topology,
-        switches=args.switches,
-        hosts_per_switch=args.hosts_per_switch,
-        topo_seed=args.seed,
-        routing=args.routing,
-        load=args.load,
-        packet_size=args.packet_size,
-        duration_ns=args.duration * 1000.0,
-        warmup_ns=args.warmup * 1000.0,
-        interval_ns=args.interval,
-        traffic_seed=args.traffic_seed,
-        trace_every=args.trace_every,
-    )
-    t, lat = r.traffic, r.latency
-    p50, p90, p99, p999 = quantile_cells(lat)
-    print(format_table(
-        ["quantity", "value"],
-        [
-            ("offered packets", t.offered_packets),
-            ("delivered packets", t.delivered_packets),
-            ("dropped packets", t.dropped_packets),
-            ("delivered fraction", t.delivered_fraction),
-            ("mean latency (us)", lat.mean_us),
-            ("p50 / p90 (us)", f"{p50} / {p90}"),
-            ("p99 / p99.9 (us)", f"{p99} / {p999}"),
-        ],
-        title=f"repro obs — {args.topology}, load {args.load}",
-    ))
-    print()
-    print(registry_table(r.registry, title="telemetry (nonzero metrics)",
-                         kinds=("counter", "gauge", "histogram"),
-                         limit=args.rows))
-    if r.telemetry.profiler is not None:
-        print()
-        print(profiler_table(r.telemetry.profiler))
-    sampler = r.telemetry.sampler
-    if sampler is not None:
-        print(f"\nsampled {sampler.n_ticks} snapshots x"
-              f" {len(sampler.series)} gauge series"
-              f" @ {sampler.interval_ns:.0f} ns")
-    if args.out:
-        paths = export_all(r, args.out)
-        for kind, path in sorted(paths.items()):
-            print(f"wrote {kind}: {path}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
-    """``repro trace``: run a traced workload, inspect the span trees."""
+    """``repro trace``: inspect the causal span trees of a span dump."""
+    import json
     from fractions import Fraction
 
     from repro.obs.critical_path import CATEGORIES, breakdown_dump
-    from repro.obs.run import export_all, run_obs
-    from repro.obs.tracing import span_tree, waterfall_lines
+    from repro.obs.tracing import load_dump, span_tree, waterfall_lines
 
-    r = run_obs(
-        topology=args.topology,
-        switches=args.switches,
-        hosts_per_switch=args.hosts_per_switch,
-        topo_seed=args.seed,
-        routing=args.routing,
-        load=args.load,
-        packet_size=args.packet_size,
-        duration_ns=args.duration * 1000.0,
-        warmup_ns=args.warmup * 1000.0,
-        traffic_seed=args.traffic_seed,
-        profile=False,
-        trace_every=args.every,
-    )
-    tracer = r.tracer
-    roots = tracer.roots()
-    breakdowns = breakdown_dump(tracer.spans)
-    in_flight = len(roots) - len(breakdowns)
-    print(f"traced {len(roots)} messages / {len(tracer.spans)} spans"
-          f" (sampling every {args.every});"
+    try:
+        with open(args.spans, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        spans = load_dump(doc)
+    except (OSError, ValueError) as exc:
+        print(f"repro trace: {args.spans}: {exc}", file=sys.stderr)
+        return 2
+    n_roots = sum(1 for s in spans if s["parent"] is None)
+    breakdowns = breakdown_dump(spans)
+    in_flight = n_roots - len(breakdowns)
+    print(f"traced {n_roots} messages / {len(spans)} spans"
+          f" (sampling every {doc.get('sample_every')});"
           f" {len(breakdowns)} completed, {in_flight} in flight")
 
     if args.action == "summarize":
@@ -354,36 +284,30 @@ def _cmd_trace(args) -> int:
             print(f"\ntrace {b.trace_id}: {b.total_ns / 1000.0:.3f} us,"
                   f" {b.n_attempts} attempt(s), status {b.status}")
             for line in waterfall_lines(
-                    span_tree(tracer.spans_of(b.trace_id))):
+                    span_tree(s for s in spans if s["trace"] == b.trace_id)):
                 print(f"  {line}")
         return 0
 
-    if args.action == "critical-path":
-        totals = {cat: Fraction(0) for cat in CATEGORIES}
-        for b in breakdowns:
-            for cat, frac in b.fractions.items():
-                totals[cat] += frac
-        grand = sum(totals.values(), Fraction(0))
-        n = max(len(breakdowns), 1)
-        rows = [
-            (cat, float(totals[cat]) / 1000.0,
-             (100.0 * float(totals[cat] / grand)) if grand else 0.0,
-             float(totals[cat]) / n / 1000.0)
-            for cat in CATEGORIES
-        ]
-        rows.append(("TOTAL", float(grand) / 1000.0, 100.0 if grand else 0.0,
-                     float(grand) / n / 1000.0))
-        print()
-        print(format_table(
-            ["category", "total (us)", "share (%)", "mean/trace (us)"],
-            rows, title="critical-path attribution"
-        ))
-        return 0
-
-    # export
-    paths = export_all(r, args.out)
-    for kind, path in sorted(paths.items()):
-        print(f"wrote {kind}: {path}")
+    # critical-path
+    totals = {cat: Fraction(0) for cat in CATEGORIES}
+    for b in breakdowns:
+        for cat, frac in b.fractions.items():
+            totals[cat] += frac
+    grand = sum(totals.values(), Fraction(0))
+    n = max(len(breakdowns), 1)
+    rows = [
+        (cat, float(totals[cat]) / 1000.0,
+         (100.0 * float(totals[cat] / grand)) if grand else 0.0,
+         float(totals[cat]) / n / 1000.0)
+        for cat in CATEGORIES
+    ]
+    rows.append(("TOTAL", float(grand) / 1000.0, 100.0 if grand else 0.0,
+                 float(grand) / n / 1000.0))
+    print()
+    print(format_table(
+        ["category", "total (us)", "share (%)", "mean/trace (us)"],
+        rows, title="critical-path attribution"
+    ))
     return 0
 
 
@@ -392,7 +316,6 @@ def _cmd_bench_report(args) -> int:
     benchmark suite's session fixture) and, with ``--baseline``, fail
     on speedup-ratio regressions beyond ``--tolerance``."""
     import json
-    from pathlib import Path
 
     bench_dir = Path(args.dir)
     files = sorted(bench_dir.glob("BENCH_*.json"))
@@ -511,15 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Graphviz DOT instead of stats")
     p.set_defaults(func=_cmd_topo)
 
-    # One subcommand per registered experiment, at the top level (the
-    # legacy spellings: ``repro fig7``, ``repro throughput``, ...).
-    for exp in list_experiments():
-        p = sub.add_parser(exp.name, help=exp.title)
-        _add_experiment_arguments(p, exp)
-
-    # ... and the same set under ``repro run <name>``.  An unknown
-    # name is an argparse choice error: exit code 2 plus the list of
-    # registered names, never a traceback.
+    # ``repro run <name>``, one subcommand per registered experiment.
+    # An unknown name is an argparse choice error: exit code 2 plus the
+    # list of registered names, never a traceback.
     p_run = sub.add_parser("run", help="run a registered experiment"
                                        " by name")
     run_sub = p_run.add_subparsers(dest="experiment", required=True,
@@ -531,76 +448,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="list registered experiments")
     p.set_defaults(func=_cmd_list)
 
-    p = sub.add_parser("all", help="regenerate figure results, optionally"
-                                   " persisting to JSON")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--throughput", action="store_true")
-    p.add_argument("--switches", type=int, default=16)
-    p.add_argument("--save", type=str, default="")
-    p.set_defaults(func=_cmd_all)
-
     p = sub.add_parser("validate", help="measure and judge every paper claim")
     p.add_argument("--iterations", type=int, default=20)
     p.add_argument("--throughput", action="store_true",
                    help="include the 64-switch EXP-M1 ratio (minutes)")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("obs", help="instrumented workload: unified"
-                                   " telemetry dump")
-    p.add_argument("--topology", choices=("fig6", "random"),
-                   default="fig6")
-    p.add_argument("--switches", type=int, default=8)
-    p.add_argument("--hosts-per-switch", type=int, default=2)
-    p.add_argument("--routing", choices=("updown", "itb"),
-                   default="updown")
-    p.add_argument("--load", type=float, default=0.02,
-                   help="offered load (bytes/ns/host; link = 0.16)")
-    p.add_argument("--packet-size", type=int, default=512)
-    p.add_argument("--duration", type=float, default=50.0,
-                   help="measurement window (us)")
-    p.add_argument("--warmup", type=float, default=0.0,
-                   help="warmup before the window (us)")
-    p.add_argument("--interval", type=float, default=1000.0,
-                   help="gauge sampling interval (ns)")
-    p.add_argument("--seed", type=int, default=5)
-    p.add_argument("--traffic-seed", type=int, default=7)
-    p.add_argument("--rows", type=int, default=40,
-                   help="max telemetry table rows printed")
-    p.add_argument("--trace-every", type=int, default=0,
-                   help="span-trace every Nth message (0 = tracing off);"
-                        " feeds the latency_breakdown_ns histograms")
-    p.add_argument("--out", type=str, default="",
-                   help="directory for the exporter dumps")
-    p.set_defaults(func=_cmd_obs)
-
-    p = sub.add_parser("trace", help="causal span tracing: waterfalls,"
-                                     " critical path, span-dump export")
-    p.add_argument("action", choices=("summarize", "critical-path", "export"),
+    p = sub.add_parser("trace", help="inspect a span dump: waterfalls"
+                                     " or critical path")
+    p.add_argument("action", choices=("summarize", "critical-path"),
                    help="summarize: top-N slowest messages as ASCII"
                         " waterfalls; critical-path: per-category latency"
-                        " attribution; export: span dump + chrome trace")
-    p.add_argument("--topology", choices=("fig6", "random"),
-                   default="fig6")
-    p.add_argument("--switches", type=int, default=8)
-    p.add_argument("--hosts-per-switch", type=int, default=2)
-    p.add_argument("--routing", choices=("updown", "itb"),
-                   default="updown")
-    p.add_argument("--load", type=float, default=0.02,
-                   help="offered load (bytes/ns/host; link = 0.16)")
-    p.add_argument("--packet-size", type=int, default=512)
-    p.add_argument("--duration", type=float, default=50.0,
-                   help="measurement window (us)")
-    p.add_argument("--warmup", type=float, default=0.0,
-                   help="warmup before the window (us)")
-    p.add_argument("--seed", type=int, default=5)
-    p.add_argument("--traffic-seed", type=int, default=7)
-    p.add_argument("--every", type=_positive_int, default=1,
-                   help="trace every Nth message (1 = all)")
+                        " attribution")
+    p.add_argument("spans",
+                   help="a repro-spans/1 file, e.g. the spans.json of"
+                        " repro run <name> --metrics-out DIR"
+                        " --trace-every N")
     p.add_argument("--top", type=_positive_int, default=3,
                    help="waterfalls printed by summarize")
-    p.add_argument("--out", type=str, default="traces",
-                   help="output directory for export")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("bench-report", help="tabulate BENCH_*.json benchmark"

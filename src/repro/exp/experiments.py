@@ -4,9 +4,8 @@ Each class below maps one of the repo's experiments onto the unified
 pipeline: it declares the independent measurement points of a spec,
 delegates each point to the picklable ``measure_*`` helper in its
 harness module, and reassembles the ordered results into the same
-result object the harness has always returned.  The CLI hooks
-reproduce the legacy subcommand options and report tables, so
-``repro run fig7`` prints exactly what ``repro fig7`` always has.
+result object the harness has always returned.  The CLI hooks declare
+each experiment's ``repro run <name>`` options and report tables.
 """
 
 from __future__ import annotations

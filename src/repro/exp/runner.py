@@ -34,22 +34,27 @@ from repro.exp.spec import ExperimentSpec
 __all__ = ["PointContext", "Runner", "RunReport", "fork_map",
            "run_experiment"]
 
+#: Gauge sampling interval of an observed build (simulated ns).
+SAMPLE_INTERVAL_NS = 1_000.0
+
 
 class PointContext:
     """Per-point services the runner hands to ``measure``.
 
     ``ctx.build(...)`` is the uniform build path: it forwards to
-    :func:`~repro.core.builder.build_network` and — when the spec asks
-    for observation — attaches the unified telemetry registry to the
-    built network, recording a compact metric summary per build in
-    :attr:`observations`.
+    :func:`~repro.core.builder.build_network` and, when the spec asks
+    for observation, attaches the full telemetry stack to the built
+    network: a registry holding every NIC, fabric and channel metric,
+    an engine :class:`~repro.obs.profiler.Profiler`, and a
+    :class:`~repro.obs.sampler.Sampler` snapshotting the gauges every
+    :data:`SAMPLE_INTERVAL_NS`.  :meth:`observations` renders each
+    observed build's files once ``measure`` returns.
     """
 
     def __init__(self, spec: ExperimentSpec) -> None:
         self.spec = spec
-        self.observations: list[dict] = []
-        self._instrumented: list = []
         self._fabrics: list = []
+        self._observed: list = []
 
     def build(self, topo: Any = None, **kwargs: Any) -> BuiltNetwork:
         """Build a network for this point through the single shared path."""
@@ -60,8 +65,9 @@ class PointContext:
         if self.spec.observe:
             from repro.obs.attach import instrument_network
 
-            telemetry = instrument_network(net, fabric_usage=False)
-            self._instrumented.append(telemetry)
+            telemetry = instrument_network(
+                net, sample_interval_ns=SAMPLE_INTERVAL_NS, profile=True)
+            self._observed.append((net.fabric, telemetry))
         return net
 
     def express_summary(self) -> dict:
@@ -86,16 +92,26 @@ class PointContext:
                 dumps.append(tracer.dump_json())
         return dumps
 
-    def finalize_observations(self) -> None:
-        """Snapshot nonzero metric totals of every instrumented build."""
-        for telemetry in self._instrumented:
-            snapshot: dict[str, float] = {}
-            for metric in telemetry.registry.collect():
-                value = metric.value
-                if value:
-                    snapshot[metric.name] = snapshot.get(metric.name, 0.0) + value
-            self.observations.append(snapshot)
-        self._instrumented.clear()
+    def observations(self) -> list[dict[str, str]]:
+        """The files of every observed build at this point, in build
+        order (file name → text, see
+        :func:`repro.obs.exporters.telemetry_files`).
+
+        Stops each build's sampler and profiler; a traced build's
+        critical-path breakdowns are observed into its registry first.
+        """
+        from repro.obs.critical_path import breakdown_dump, observe_breakdowns
+        from repro.obs.exporters import telemetry_files
+
+        files = []
+        for fabric, telemetry in self._observed:
+            telemetry.stop()
+            tracer = fabric.tracer
+            if tracer is not None:
+                observe_breakdowns(breakdown_dump(tracer.spans),
+                                   telemetry.registry)
+            files.append(telemetry_files(telemetry, tracer))
+        return files
 
 
 @dataclass
@@ -107,6 +123,8 @@ class RunReport:
     n_points: int
     jobs: int
     elapsed_s: float
+    #: Rendered telemetry files, by point then build (file name →
+    #: text); empty unless ``spec.observe``.
     observations: list = field(default_factory=list)
     #: Worm express-lane counters summed across every point (execution
     #: metadata — never part of the persisted result document).
@@ -146,8 +164,8 @@ def _measure_point(payload: tuple[ExperimentSpec, int, dict]
     exp = get_experiment(spec.experiment)
     ctx = PointContext(spec)
     value = exp.measure(spec, point, ctx)
-    ctx.finalize_observations()
-    return index, value, ctx.observations, ctx.express_summary(), ctx.span_dumps()
+    return (index, value, ctx.observations(), ctx.express_summary(),
+            ctx.span_dumps())
 
 
 class Runner:

@@ -57,8 +57,10 @@ class ExperimentSpec:
     root:
         Optional spanning-tree root override.
     observe:
-        Attach the unified telemetry registry to every built network
-        and report per-point metric totals alongside the result.
+        Attach the full telemetry stack (registry, sampler, profiler)
+        to every built network and render each build's telemetry files
+        into ``RunReport.observations`` (``repro run <exp>
+        --metrics-out DIR``).  Observing changes no result.
     params:
         Free-form experiment-specific extras (JSON-able values only).
     """

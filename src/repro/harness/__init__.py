@@ -51,17 +51,11 @@ from repro.harness.workloads import (
     permutation_traffic,
     uniform_traffic,
 )
-from repro.harness.metrics import LatencySummary, saturation_point, summarize_latencies
 from repro.harness.paper_claims import CLAIMS, Claim, claim
 from repro.harness.ascii_plot import line_plot
-from repro.harness.report import (
-    format_table,
-    paper_vs_measured,
-    profiler_table,
-    registry_table,
-)
+from repro.harness.report import format_table, paper_vs_measured
 from repro.harness.persist import load_results, save_results
-from repro.harness.chrome_trace import to_counter_events, write_chrome_trace
+from repro.harness.chrome_trace import chrome_trace_text, to_counter_events
 from repro.harness.root_study import (
     RootStudyResult,
     RootStudyRow,
@@ -82,7 +76,6 @@ __all__ = [
     "Fig6Paths",
     "Fig7Result",
     "Fig8Result",
-    "LatencySummary",
     "RootStudyResult",
     "RootStudyRow",
     "ThroughputPoint",
@@ -91,6 +84,7 @@ __all__ = [
     "TimingSweepRow",
     "TrafficStats",
     "ValidationReport",
+    "chrome_trace_text",
     "claim",
     "drive_traffic",
     "fig6_paths",
@@ -104,7 +98,6 @@ __all__ = [
     "measure_load_point",
     "measure_root_point",
     "paper_vs_measured",
-    "profiler_table",
     "permutation_traffic",
     "run_ablation_buffer_pool",
     "run_ablation_load",
@@ -117,11 +110,7 @@ __all__ = [
     "run_root_study",
     "run_throughput",
     "save_results",
-    "saturation_point",
-    "summarize_latencies",
-    "registry_table",
     "to_counter_events",
     "uniform_traffic",
     "validate_claims",
-    "write_chrome_trace",
 ]

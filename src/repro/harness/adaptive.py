@@ -212,10 +212,15 @@ def measure_adaptive_point(
     net = build_load_network(topo, "itb", timings=timings, build=build)
     congestion = None
     if view == "live":
-        from repro.obs.attach import attach_congestion_view, instrument_network
+        from repro.obs import attach
 
-        telemetry = instrument_network(net, fabric_usage=False)
-        congestion = attach_congestion_view(net, telemetry.registry)
+        # One registry per network: an observed build already has one,
+        # and it must keep the NICs' event sink (``nic.metrics``).
+        registry = next(iter(net.nics.values())).metrics
+        if registry is None:
+            registry = attach.instrument_network(
+                net, fabric_usage=False).registry
+        congestion = attach.attach_congestion_view(net, registry)
     elif view != "zero":
         raise ValueError(f"unknown congestion view {view!r}")
     selector = make_selector(policy, view=congestion, seed=selector_seed)

@@ -23,14 +23,13 @@ Two event mappings:
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.obs.sampler import TimeSeries
 
-__all__ = ["spans_to_chrome_trace", "to_counter_events",
-           "write_chrome_trace"]
+__all__ = ["chrome_trace_text", "spans_to_chrome_trace",
+           "to_counter_events"]
 
 
 def to_counter_events(series: Iterable["TimeSeries"],
@@ -114,21 +113,18 @@ def spans_to_chrome_trace(spans: Iterable[Union[dict, object]],
     return events
 
 
-def write_chrome_trace(
-    path: Union[str, Path],
+def chrome_trace_text(
     series: Iterable["TimeSeries"] = (),
     spans: Iterable[Union[dict, object]] = (),
-) -> Path:
-    """Write a ``chrome://tracing``-loadable JSON file.
+) -> str:
+    """A ``chrome://tracing``-loadable JSON document, as text.
 
     ``series`` (sampled telemetry time series) become counter tracks
     via :func:`to_counter_events`; ``spans`` (causal spans from
     :mod:`repro.obs.tracing`, or their dump dicts) become async spans
     plus cross-component flow arrows via :func:`spans_to_chrome_trace`.
     """
-    path = Path(path)
     events = to_counter_events(series)
     events.extend(spans_to_chrome_trace(spans))
     payload = {"traceEvents": events, "displayTimeUnit": "ns"}
-    path.write_text(json.dumps(payload, indent=1))
-    return path
+    return json.dumps(payload, indent=1)

@@ -1,50 +1,10 @@
-"""ASCII reporting: experiment tables and paper-vs-measured rows.
-
-This module is also the *single* rendering path for telemetry: NIC
-counters, fabric-usage statistics, and any other component metric all
-print through :func:`registry_table` once they are registered in a
-:class:`repro.obs.registry.MetricsRegistry` — there are deliberately
-no bespoke per-silo summary tables (``NicStats`` and ``FabricUsage``
-summaries used to be assembled by hand at every call site; wire the
-network with :func:`repro.obs.attach.instrument_network` instead).
-"""
+"""ASCII reporting: experiment tables and paper-vs-measured rows."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
-    from repro.obs.profiler import Profiler
-    from repro.obs.registry import MetricsRegistry
-
-__all__ = ["QUANTILE_HEADERS", "format_table", "paper_vs_measured",
-           "profiler_table", "quantile_cells", "registry_table"]
-
-#: The standard latency quantiles every table renders, as
-#: ``(probability, LatencySummary attribute)`` pairs.
-_QUANTILES = ((0.50, "p50"), (0.90, "p90"), (0.99, "p99"), (0.999, "p999"))
-
-#: Column headers matching :func:`quantile_cells` output.
-QUANTILE_HEADERS = ("p50 (us)", "p90 (us)", "p99 (us)", "p99.9 (us)")
-
-
-def quantile_cells(source: Any) -> tuple[str, ...]:
-    """Render the standard latency quantiles (µs) of any source.
-
-    The one shared formatting path for quantiles: accepts a
-    :class:`~repro.obs.registry.Histogram` (interpolated bucket
-    quantiles) or a :class:`~repro.harness.metrics.LatencySummary`
-    (exact sample percentiles) and returns the four cells matching
-    :data:`QUANTILE_HEADERS`.
-    """
-    cells = []
-    for q, attr in _QUANTILES:
-        if hasattr(source, "quantile"):
-            value = source.quantile(q)
-        else:
-            value = getattr(source, attr)
-        cells.append(f"{value / 1000.0:.2f}")
-    return tuple(cells)
+__all__ = ["format_table", "paper_vs_measured"]
 
 
 def format_table(
@@ -88,77 +48,4 @@ def paper_vs_measured(
     ]
     return format_table(
         ["quantity", "paper", "measured", "shape holds"], rows, title=title
-    )
-
-
-def registry_table(
-    registry: "MetricsRegistry",
-    title: str = "telemetry",
-    kinds: Sequence[str] = ("counter", "gauge"),
-    nonzero_only: bool = True,
-    name_prefix: Optional[str] = None,
-    limit: Optional[int] = None,
-) -> str:
-    """Render registered metrics as one ASCII table.
-
-    The shared summary path for every stat silo: ``NicStats``
-    counters, buffer gauges, and fabric-usage statistics all print
-    here once wired through the registry.  ``nonzero_only`` drops
-    all-zero rows (most per-channel metrics are quiet in small runs);
-    ``name_prefix`` filters a metric family; ``limit`` truncates to
-    the first N rows after sorting by name then labels.
-
-    Histograms render through the shared quantile path
-    (:func:`quantile_cells`) in a second table with per-quantile
-    columns when ``"histogram"`` is in ``kinds``.
-    """
-    rows: list[tuple[str, str, float]] = []
-    hist_rows: list[tuple] = []
-    for metric in registry.collect():
-        if metric.kind not in kinds:
-            continue
-        if name_prefix is not None and not metric.name.startswith(name_prefix):
-            continue
-        value = float(metric.value)
-        if nonzero_only and value == 0.0:
-            continue
-        labels = ",".join(
-            f"{k}={v}" for k, v in sorted(metric.labels.items()))
-        if metric.kind == "histogram":
-            hist_rows.append((metric.name, labels, int(metric.count),
-                              *quantile_cells(metric)))
-            continue
-        rows.append((metric.name, labels, value))
-    if limit is not None:
-        rows = rows[:limit]
-        hist_rows = hist_rows[:limit]
-    parts = []
-    if rows or not hist_rows:
-        parts.append(
-            format_table(["metric", "labels", "value"], rows, title=title))
-    if hist_rows:
-        parts.append(format_table(
-            ["histogram", "labels", "count", *QUANTILE_HEADERS],
-            hist_rows, title="" if parts else title))
-    return "\n\n".join(parts)
-
-
-def profiler_table(
-    profiler: "Profiler", title: str = "engine profile", limit: int = 12
-) -> str:
-    """Render a profiler's hottest components as an ASCII table.
-
-    One row per component kind (``send``, ``sdma``, ...), descending
-    wall-clock share, with the engine total as the last row.
-    """
-    total_wall = max(profiler.wall_ns_total, 1e-9)
-    rows: list[tuple[str, Any, float, float]] = []
-    for kind, entry in list(profiler.by_kind().items())[:limit]:
-        rows.append((kind, int(entry["events"]),
-                     entry["wall_ns"] / 1e6,
-                     100.0 * entry["wall_ns"] / total_wall))
-    rows.append(("TOTAL", profiler.events_total,
-                 profiler.wall_ns_total / 1e6, 100.0))
-    return format_table(
-        ["component", "events", "wall (ms)", "wall (%)"], rows, title=title
     )

@@ -588,18 +588,28 @@ class Worm:
         if self._held:
             self._release_all()
         else:
-            # Fully virtual express flight: nothing ever queued on its
-            # lanes (a contender would have materialised them), so
-            # only the lanes' load counters need the holds added, as a
-            # release would have added them.
-            acq, lanes = self._acq, self._lanes
-            for i, ch in enumerate(self._plan.channels):
-                res = ch.lanes[lanes[i]]
-                res.grants += 1
-                res.busy_ns += now - acq[i]
+            self._settle_virtual()
             self._release_claims()
         self._trace_close()
         self.observer.on_complete(self, now)
+
+    def _settle_virtual(self) -> None:
+        """Add the holds of an express flight that never materialised
+        to its lanes' load counters, as their release would have.
+
+        Nothing ever queued on those lanes (a contender would have
+        materialised them), so only the counters need the holds: one
+        grant and ``now - acq[i]`` busy time for every hold matured by
+        now (all of them at completion; at a kill, the ones the stepped
+        twin would hold).  Schedules nothing.
+        """
+        now = self.sim.now
+        acq, lanes = self._acq, self._lanes
+        for i, ch in enumerate(self._plan.channels):
+            if acq[i] <= now:
+                res = ch.lanes[lanes[i]]
+                res.grants += 1
+                res.busy_ns += now - acq[i]
 
     # ------------------------------------------------------------------
 
@@ -613,10 +623,14 @@ class Worm:
         instant the worm was killed (the holder released just before
         the interrupt landed) leaves the worm among that lane's holders
         without a ``_held`` entry; it is released here so the channel
-        is not wedged.
+        is not wedged.  An express flight whose holds are still
+        virtual (alone, or with its tail stalled on a receive gate)
+        requested nothing: its matured holds are settled instead.
         """
         plan, i = self._plan, len(self._held)
-        if plan is not None and i < len(plan.channels):
+        if not i and self._acq:
+            self._settle_virtual()
+        elif plan is not None and i < len(plan.channels):
             res = plan.channels[i].lanes[self._lanes[i]]
             if (not res.cancel(self) and self in res.holders()
                     and res not in self._held):

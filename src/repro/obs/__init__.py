@@ -11,15 +11,15 @@ The observability spine of the reproduction (see
   accounting per component,
 * :mod:`repro.obs.exporters` — Prometheus text / JSON / CSV formats
   (chrome-trace counter events live in
-  :mod:`repro.harness.chrome_trace`),
+  :mod:`repro.harness.chrome_trace`) and the per-build file set that
+  ``repro run <exp> --metrics-out DIR`` writes,
 * :mod:`repro.obs.attach` — one call wires ``NicStats``,
   ``FabricUsage``, buffer occupancy, and firmware events into a fresh
   registry,
 * :mod:`repro.obs.tracing` — causal span tracing across the GM/ITB
   stack and its ASCII waterfall (see ``docs/TRACING.md``),
 * :mod:`repro.obs.critical_path` — per-trace critical-path latency
-  attribution feeding the ``latency_breakdown_ns`` histograms,
-* :mod:`repro.obs.run` — the ``repro obs`` CLI workload runner.
+  attribution feeding the ``latency_breakdown_ns`` histograms.
 """
 
 from repro.obs.attach import Telemetry, instrument_network
@@ -34,9 +34,9 @@ from repro.obs.exporters import (
     parse_prometheus_text,
     parse_series_csv,
     series_to_csv,
+    telemetry_files,
     to_json,
     to_prometheus_text,
-    write_json,
 )
 from repro.obs.profiler import Profiler, component_kind
 from repro.obs.registry import (
@@ -48,7 +48,6 @@ from repro.obs.registry import (
     MetricError,
     MetricsRegistry,
 )
-from repro.obs.run import ObsResult, export_all, run_obs
 from repro.obs.sampler import Sample, Sampler, TimeSeries
 from repro.obs.tracing import (
     PacketTrace,
@@ -73,7 +72,6 @@ __all__ = [
     "Metric",
     "MetricError",
     "MetricsRegistry",
-    "ObsResult",
     "PacketTrace",
     "Profiler",
     "Sample",
@@ -88,18 +86,16 @@ __all__ = [
     "configure",
     "configured_sample_every",
     "disable",
-    "export_all",
     "instrument_network",
     "load_dump",
     "observe_breakdowns",
     "parse_prometheus_text",
     "parse_series_csv",
-    "run_obs",
     "series_to_csv",
     "span_tree",
+    "telemetry_files",
     "to_json",
     "to_prometheus_text",
     "tree_signature",
     "waterfall_lines",
-    "write_json",
 ]

@@ -6,11 +6,14 @@ One registry, several wire formats:
   (``# TYPE`` headers, ``{label="value"}`` sets, cumulative ``le=``
   histogram buckets), with :func:`parse_prometheus_text` as the
   round-trip inverse used by the tests;
-* :func:`to_json` / :func:`write_json` — one JSON document holding
-  metrics, sampled time series, and profiler output;
+* :func:`to_json` — one JSON document holding metrics, sampled time
+  series, and profiler output;
 * :func:`series_to_csv` / :func:`parse_series_csv` — long-format CSV
   (``time_ns,metric,component,value``) of the sampled series, for
-  spreadsheets and pandas.
+  spreadsheets and pandas;
+* :func:`telemetry_files` — all of the above for one observed build,
+  plus its chrome trace and span dump, as the file texts that
+  ``repro run <exp> --metrics-out DIR`` writes per build.
 
 Chrome-trace counter ("C") events are produced by
 :func:`repro.harness.chrome_trace.to_counter_events`, next to the rest
@@ -22,24 +25,25 @@ from __future__ import annotations
 import json
 import math
 import re
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.obs.registry import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
+    from repro.obs.attach import Telemetry
     from repro.obs.profiler import Profiler
     from repro.obs.registry import MetricsRegistry
     from repro.obs.sampler import Sampler, TimeSeries
+    from repro.obs.tracing import SpanTracer
 
 __all__ = [
     "parse_prometheus_text",
     "parse_series_csv",
     "sanitize_metric_name",
     "series_to_csv",
+    "telemetry_files",
     "to_json",
     "to_prometheus_text",
-    "write_json",
 ]
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -216,22 +220,6 @@ def to_json(
     return doc
 
 
-def write_json(
-    path: Union[str, Path],
-    registry: Optional["MetricsRegistry"] = None,
-    sampler: Optional["Sampler"] = None,
-    profiler: Optional["Profiler"] = None,
-    extra: Optional[dict] = None,
-) -> Path:
-    """Write :func:`to_json` output to ``path``; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(
-        to_json(registry=registry, sampler=sampler, profiler=profiler,
-                extra=extra),
-        indent=1))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # CSV (long format)
 # ---------------------------------------------------------------------------
@@ -267,3 +255,37 @@ def parse_series_csv(text: str) -> list[tuple[float, str, str, float]]:
         rows.append((float(t_str), metric, component.strip('"'),
                      float(value_str)))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# one observed build
+# ---------------------------------------------------------------------------
+
+def telemetry_files(telemetry: "Telemetry",
+                    tracer: Optional["SpanTracer"] = None) -> dict[str, str]:
+    """Every exporter's view of one observed build, as file name → text.
+
+    ``metrics.prom`` (Prometheus text), ``telemetry.json`` (metrics,
+    sampled series and engine profile), ``series.csv`` (the sampled
+    series, long format) and ``trace.json`` (a chrome trace: counter
+    tracks, plus async span tracks and flow arrows when ``tracer`` is
+    given); a traced build adds ``spans.json``, its canonical span
+    dump.  Every text but ``telemetry.json``, whose profile holds wall
+    times, is a pure function of the simulation.
+    """
+    from repro.harness.chrome_trace import chrome_trace_text
+
+    sampler = telemetry.sampler
+    series = sampler.all_series() if sampler is not None else []
+    files = {
+        "metrics.prom": to_prometheus_text(telemetry.registry),
+        "telemetry.json": json.dumps(to_json(
+            registry=telemetry.registry, sampler=sampler,
+            profiler=telemetry.profiler), indent=1),
+        "series.csv": series_to_csv(series),
+        "trace.json": chrome_trace_text(
+            series, tracer.spans if tracer is not None else ()),
+    }
+    if tracer is not None:
+        files["spans.json"] = tracer.dump_json()
+    return files

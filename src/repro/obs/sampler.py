@@ -86,6 +86,11 @@ class Sampler:
         which it returns True are sampled.
     max_samples:
         Optional cap on ticks (a runaway guard for open-ended runs).
+
+    The sampler stops by itself at the first tick that finds the
+    calendar otherwise empty, so it never keeps a drained simulation
+    running; work scheduled after that (from outside the calendar) is
+    not sampled.
     """
 
     def __init__(
@@ -133,7 +138,12 @@ class Sampler:
             return
         self.sample_now()
         self.n_ticks += 1
-        if self.max_samples is not None and self.n_ticks >= self.max_samples:
+        # A tick that finds nothing else on the calendar is the last:
+        # no gauge can change again, and a run(until=...) would
+        # otherwise sample the drained model every interval up to its
+        # horizon.
+        if ((self.max_samples is not None
+             and self.n_ticks >= self.max_samples) or not self.sim.pending):
             self._running = False
             return
         self.sim.schedule(self.interval_ns, self._tick,

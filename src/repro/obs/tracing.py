@@ -291,8 +291,9 @@ def configured_sample_every() -> Optional[int]:
 def load_dump(source: Union[str, bytes, dict]) -> list[dict]:
     """Span dicts from a dump document (JSON text or parsed dict)."""
     doc = json.loads(source) if isinstance(source, (str, bytes)) else source
-    if doc.get("format") != "repro-spans/1":
-        raise ValueError(f"not a span dump: format={doc.get('format')!r}")
+    if not isinstance(doc, dict) or doc.get("format") != "repro-spans/1":
+        found = doc.get("format") if isinstance(doc, dict) else None
+        raise ValueError(f"not a span dump: format={found!r}")
     return list(doc["spans"])
 
 

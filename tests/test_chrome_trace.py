@@ -10,8 +10,8 @@ import pytest
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.harness.chrome_trace import (spans_to_chrome_trace,
-                                        write_chrome_trace)
+from repro.harness.chrome_trace import (chrome_trace_text,
+                                        spans_to_chrome_trace)
 from repro.harness.paths import fig6_paths
 from repro.obs.tracing import SpanTracer
 from tests.conftest import send_traced
@@ -161,8 +161,8 @@ class TestSpanEvents:
         tracer.begin("message", 0.0)  # never closed
         assert spans_to_chrome_trace(tracer.spans) == []
 
-    def test_full_export_includes_counters_and_spans(self, tmp_path):
-        """write_chrome_trace merges counter, async-span, and flow
+    def test_full_export_includes_counters_and_spans(self):
+        """chrome_trace_text merges counter, async-span, and flow
         events into one loadable document."""
         from repro.obs.attach import instrument_network
 
@@ -185,24 +185,20 @@ class TestSpanEvents:
         net.sim.run(until=20_000.0)
         telemetry.stop()
         series = telemetry.sampler.all_series()
-        path = write_chrome_trace(tmp_path / "trace.json",
-                                  series=series, spans=tracer.spans)
-        blob = json.loads(path.read_text())
+        blob = json.loads(chrome_trace_text(series=series,
+                                            spans=tracer.spans))
         phases = {e["ph"] for e in blob["traceEvents"]}
         assert phases == {"C", "b", "e", "s", "f"}
 
 
 class TestFileOutput:
-    def test_written_file_is_loadable_json(self, tmp_path):
+    def test_written_file_is_loadable_json(self):
         _tp, tracer = traced_run()
-        path = write_chrome_trace(tmp_path / "trace.json",
-                                  spans=tracer.spans)
-        blob = json.loads(path.read_text())
+        blob = json.loads(chrome_trace_text(spans=tracer.spans))
         assert "traceEvents" in blob
         assert blob["displayTimeUnit"] == "ns"
         assert len(blob["traceEvents"]) > 0
 
-    def test_empty_trace_ok(self, tmp_path):
-        path = write_chrome_trace(tmp_path / "empty.json")
-        blob = json.loads(path.read_text())
+    def test_empty_trace_ok(self):
+        blob = json.loads(chrome_trace_text())
         assert blob["traceEvents"] == []

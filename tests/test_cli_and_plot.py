@@ -57,20 +57,20 @@ class TestCli:
         assert "deadlock-free" in out
 
     def test_fig7_runs(self, capsys):
-        assert main(["fig7", "--iterations", "3"]) == 0
+        assert main(["run", "fig7", "--iterations", "3"]) == 0
         out = capsys.readouterr().out
         assert "overhead" in out
         assert "paper ~125 ns" in out
 
     def test_fig8_with_plot(self, capsys):
-        assert main(["fig8", "--iterations", "3", "--plot"]) == 0
+        assert main(["run", "fig8", "--iterations", "3", "--plot"]) == 0
         out = capsys.readouterr().out
         assert "UD-ITB" in out
         assert "o=UD" in out  # the chart legend
 
     def test_throughput_runs(self, capsys):
         assert main([
-            "throughput", "--switches", "4", "--rates", "0.02",
+            "run", "throughput", "--switches", "4", "--rates", "0.02",
             "--duration", "30", "--hosts-per-switch", "1",
         ]) == 0
         out = capsys.readouterr().out

@@ -13,7 +13,7 @@ from repro.cli import build_parser, main
 class TestAppsCommand:
     def test_apps_runs_small(self, capsys):
         rc = main([
-            "apps", "--switches", "4", "--iterations", "1",
+            "run", "apps", "--switches", "4", "--iterations", "1",
             "--packet-size", "128", "--hosts-per-switch", "1",
         ])
         out = capsys.readouterr().out
@@ -24,12 +24,12 @@ class TestAppsCommand:
 
 class TestParserDefaults:
     def test_fig7_defaults(self):
-        args = build_parser().parse_args(["fig7"])
+        args = build_parser().parse_args(["run", "fig7"])
         assert args.iterations == 20
         assert not args.full and not args.plot
 
     def test_throughput_defaults(self):
-        args = build_parser().parse_args(["throughput"])
+        args = build_parser().parse_args(["run", "throughput"])
         assert args.switches == 16
         assert args.packet_size == 512
         assert len(args.rates) == 3
@@ -83,33 +83,14 @@ class TestRunCommand:
 
     def test_jobs_zero_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
-            main(["fig7", "--jobs", "0"])
+            main(["run", "fig7", "--jobs", "0"])
         assert exc_info.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
     def test_jobs_non_integer_exits_2(self):
         with pytest.raises(SystemExit) as exc_info:
-            main(["fig7", "--jobs", "many"])
+            main(["run", "fig7", "--jobs", "many"])
         assert exc_info.value.code == 2
-
-
-class TestAllCommand:
-    def test_all_regenerates_and_saves(self, capsys, tmp_path):
-        out_path = tmp_path / "results.json"
-        rc = main(["all", "--iterations", "3", "--save", str(out_path)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "fig7" in out and "fig8" in out
-        assert out_path.exists()
-        from repro.harness.persist import load_results
-
-        loaded = load_results(out_path)
-        assert "fig7" in loaded and "fig8" in loaded
-
-    def test_all_without_save(self, capsys):
-        rc = main(["all", "--iterations", "3"])
-        assert rc == 0
-        assert "per-ITB overhead" in capsys.readouterr().out
 
 
 class TestBenchReport:

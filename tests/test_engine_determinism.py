@@ -39,17 +39,19 @@ class TestGoldenDocuments:
     """Same seeds, new engine -> byte-identical persisted documents."""
 
     def test_fig7_byte_identical(self, tmp_path):
-        got = _run_cli(tmp_path, "fig7.json", "fig7", "--iterations", "5")
+        got = _run_cli(tmp_path, "fig7.json", "run", "fig7",
+                       "--iterations", "5")
         assert got == (GOLDEN / "fig7.json").read_bytes()
 
     def test_fig8_byte_identical(self, tmp_path):
-        got = _run_cli(tmp_path, "fig8.json", "fig8", "--iterations", "5")
+        got = _run_cli(tmp_path, "fig8.json", "run", "fig8",
+                       "--iterations", "5")
         assert got == (GOLDEN / "fig8.json").read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "4"])
     def test_throughput_byte_identical(self, tmp_path, jobs):
         got = _run_cli(
-            tmp_path, f"throughput_j{jobs}.json", "throughput",
+            tmp_path, f"throughput_j{jobs}.json", "run", "throughput",
             "--switches", "8", "--rates", "0.02", "0.06",
             "--duration", "80", "--jobs", jobs,
         )

@@ -80,13 +80,20 @@ class TestRunner:
         assert seen == [0, 1, 2, 3]
 
     def test_observe_collects_metrics(self):
+        from repro.obs.exporters import parse_prometheus_text
+
         spec = SWEEP_SPEC.replace(rates=(0.02,), observe=True)
         report = Runner().run(spec)
-        assert len(report.observations) == 1
-        snapshot = report.observations[0][0]
-        assert snapshot  # nonzero metric totals recorded
-        assert any("packet" in name or "bytes" in name
-                   for name in snapshot)
+        (point,) = report.observations
+        (files,) = point  # one build: one routing at one rate
+        metrics = parse_prometheus_text(files["metrics.prom"])
+        sent = sum(v for (name, _labels), v in metrics.items()
+                   if name == "nic_packets_sent")
+        busy = sum(v for (name, _labels), v in metrics.items()
+                   if name == "fabric_channel_busy_ns")
+        assert sent > 0 and busy > 0
+        assert not Runner().run(SWEEP_SPEC.replace(rates=(0.02,))
+                                ).observations[0]
 
 
 class TestParallelDeterminism:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.harness.fig1 import run_fig1
-from repro.harness.metrics import saturation_point, summarize_latencies
 from repro.harness.report import format_table, paper_vs_measured
 
 
@@ -62,37 +59,3 @@ class TestReport:
              ("ratio", "2x", "1.3x", False)],
         )
         assert "yes" in out and "NO" in out
-
-
-class TestMetrics:
-    def test_summarize_latencies(self):
-        s = summarize_latencies([1000.0, 2000.0, 3000.0])
-        assert s.n == 3
-        assert s.mean == 2000.0
-        assert s.minimum == 1000.0 and s.maximum == 3000.0
-        assert s.mean_us == 2.0
-        assert not s.empty
-
-    def test_summarize_tail_percentiles(self):
-        samples = list(range(1, 1001))  # 1..1000
-        s = summarize_latencies(samples)
-        assert s.p50 <= s.p90 <= s.p99 <= s.p999 <= s.maximum
-        assert s.p90 == pytest.approx(900, abs=2)
-        assert s.p999 == pytest.approx(999, abs=2)
-
-    def test_summarize_empty_is_nan_not_zero(self):
-        s = summarize_latencies([])
-        assert s.n == 0 and s.empty
-        # nan sentinel: an empty run must not look like a 0-ns run.
-        for value in (s.mean, s.std, s.minimum, s.p50, s.p90,
-                      s.p99, s.p999, s.maximum):
-            assert math.isnan(value)
-
-    def test_saturation_point(self):
-        offered = [0.01, 0.02, 0.04, 0.08]
-        accepted = [0.01, 0.02, 0.03, 0.03]
-        assert saturation_point(offered, accepted) == 0.02
-
-    def test_saturation_point_validates(self):
-        with pytest.raises(ValueError):
-            saturation_point([1.0], [1.0, 2.0])

@@ -7,15 +7,15 @@ import json
 import pytest
 
 from repro.harness.chrome_trace import to_counter_events
-from repro.harness.report import profiler_table, registry_table
+from repro.obs.attach import Telemetry
 from repro.obs.exporters import (
     parse_prometheus_text,
     parse_series_csv,
     sanitize_metric_name,
     series_to_csv,
+    telemetry_files,
     to_json,
     to_prometheus_text,
-    write_json,
 )
 from repro.obs.profiler import Profiler
 from repro.obs.registry import MetricsRegistry
@@ -37,6 +37,7 @@ def _populated_registry() -> MetricsRegistry:
 def _sampled(reg: MetricsRegistry) -> Sampler:
     sim = Simulator()
     sampler = Sampler(sim, reg, interval_ns=10.0).start()
+    sim.schedule(30.0, lambda: None)  # model work to t=30: four ticks
     sim.run(until=30.0)
     return sampler
 
@@ -81,15 +82,15 @@ class TestPrometheus:
 
 
 class TestJson:
-    def test_document_round_trips_through_json(self, tmp_path):
+    def test_document_round_trips_through_json(self):
         reg = _populated_registry()
         sampler = _sampled(reg)
         prof = Profiler()
         prof.events_by_component["send[a]"] = 5
         prof.events_total = 5
-        path = write_json(tmp_path / "t.json", registry=reg,
-                          sampler=sampler, profiler=prof)
-        doc = json.loads(path.read_text())
+        files = telemetry_files(
+            Telemetry(registry=reg, sampler=sampler, profiler=prof))
+        doc = json.loads(files["telemetry.json"])
         assert doc["format"] == "repro-telemetry/1"
         by_name = {(m["name"], m["labels"].get("component", "")): m
                    for m in doc["metrics"]}
@@ -135,20 +136,3 @@ class TestChromeCounters:
         assert [e["args"]["value"] for e in depth] == [3.0] * 4
         # Timestamps are in microseconds.
         assert depth[1]["ts"] == pytest.approx(0.01)
-
-
-class TestReportTables:
-    def test_registry_table_renders_nonzero(self):
-        reg = _populated_registry()
-        reg.counter("silent", component="nic[host1]")  # stays zero
-        out = registry_table(reg)
-        assert "nic_packets_sent" in out and "42" in out
-        assert "silent" not in out
-
-    def test_profiler_table_has_total_row(self):
-        sim = Simulator()
-        prof = Profiler().install(sim)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        out = profiler_table(prof)
-        assert "TOTAL" in out and "engine" in out

@@ -1,10 +1,12 @@
 """Integration + acceptance tests for the unified telemetry subsystem.
 
-Covers the ISSUE-1 acceptance criteria: the Fig. 8 workload's ITB
-buffer-occupancy gauge is nonzero exactly while an in-transit packet
-is buffered, the engine profiler's per-component counts sum to its
-total, and ``repro obs`` produces Prometheus text, JSON, CSV, and a
-chrome trace with counter tracks.
+Covers the Fig. 8 workload's ITB buffer-occupancy gauge (nonzero
+exactly while an in-transit packet is buffered), the engine profiler's
+per-component counts summing to its total, and observing a registered
+experiment: ``repro run <exp> --metrics-out DIR [--trace-every N]``
+writes Prometheus text, JSON, CSV and a chrome trace with counter
+tracks (plus the span dump and span rows when traced) for every
+build, changes no result, and ``repro trace`` inspects the span dump.
 """
 
 from __future__ import annotations
@@ -17,11 +19,24 @@ from repro.cli import main
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
+from repro.exp import ExperimentSpec, Runner, get_experiment
+from repro.exp.experiments import QUICK_SIZES
 from repro.harness.paths import fig6_paths
 from repro.obs.attach import instrument_network
 from repro.obs.exporters import parse_prometheus_text, parse_series_csv
-from repro.obs.run import export_all, run_obs
+from repro.obs.tracing import (configure, configured_sample_every, disable,
+                               load_dump)
 from tests.conftest import send_traced
+
+#: fig8 on the quick ladder at two iterations: 4 points x (UD, UD-ITB).
+FIG8_SMALL = ExperimentSpec(experiment="fig8", sizes=QUICK_SIZES,
+                            iterations=2)
+#: One fault-campaign point with loss, corruption and the fault schedule.
+FAULT_SMALL = get_experiment("fault-campaign").default_spec().replace(
+    params={"loss": [0.2], "corrupt": [0.1], "schedules": ["campaign"],
+            "messages": 8})
+#: The files of every observed build.
+FILES = {"metrics.prom", "telemetry.json", "series.csv", "trace.json"}
 
 
 def _instrumented_fig8_run(interval_ns: float = 100.0):
@@ -123,69 +138,170 @@ class TestProfilerAcceptance:
         assert "sdma" in kinds and "send" in kinds
 
 
-class TestRunObs:
-    @pytest.fixture(scope="class")
-    def obs_result(self):
-        return run_obs(topology="fig6", load=0.02, duration_ns=30_000.0,
-                       interval_ns=500.0)
-
-    def test_traffic_flows_and_latency_summarized(self, obs_result):
-        assert obs_result.traffic.offered_packets > 0
-        assert obs_result.latency.n == len(obs_result.traffic.latencies_ns)
-
-    def test_latency_histogram_populated(self, obs_result):
-        hist = obs_result.registry.get("packet_latency_ns")
-        assert hist.count == obs_result.latency.n
-
-    def test_export_all_round_trips(self, obs_result, tmp_path):
-        paths = export_all(obs_result, tmp_path)
-        assert set(paths) == {"prometheus", "json", "csv", "chrome_trace"}
-
-        parsed = parse_prometheus_text(paths["prometheus"].read_text())
-        sent = sum(v for (name, _labels), v in parsed.items()
-                   if name == "nic_packets_sent")
-        assert sent == obs_result.net.total_stats()["packets_sent"]
-
-        doc = json.loads(paths["json"].read_text())
-        assert doc["format"] == "repro-telemetry/1"
-        assert doc["series"] and doc["profile"]["events_total"] > 0
-
-        rows = parse_series_csv(paths["csv"].read_text())
-        assert rows and all(isinstance(r[3], float) for r in rows)
-
-        trace = json.loads(paths["chrome_trace"].read_text())
-        phases = {e["ph"] for e in trace["traceEvents"]}
-        assert phases == {"C"}  # packet rows come from spans only
-
-    def test_traced_export_adds_span_rows(self, tmp_path):
-        result = run_obs(topology="fig6", load=0.02, duration_ns=30_000.0,
-                         interval_ns=500.0, profile=False, trace_every=1)
-        paths = export_all(result, tmp_path)
-        assert set(paths) == {"prometheus", "json", "csv", "chrome_trace",
-                              "spans"}
-        trace = json.loads(paths["chrome_trace"].read_text())
-        phases = {e["ph"] for e in trace["traceEvents"]}
-        assert {"C", "b", "e"} <= phases
-
-    def test_unknown_topology_rejected(self):
-        with pytest.raises(ValueError):
-            run_obs(topology="hypercube")
+def _observe(spec: ExperimentSpec, trace_every: int = 0, jobs: int = 1):
+    """Run ``spec`` observed (and span-traced every ``trace_every``)."""
+    if trace_every:
+        configure(trace_every)
+    try:
+        return Runner().run(spec.replace(observe=True), jobs=jobs)
+    finally:
+        disable()
 
 
-class TestCliObs:
-    def test_obs_subcommand_smoke(self, tmp_path, capsys):
-        rc = main(["obs", "--topology", "fig6", "--duration", "30",
-                   "--interval", "500", "--out", str(tmp_path)])
+def _builds(report) -> list[dict]:
+    return [files for point in report.observations for files in point]
+
+
+def _phases(files: dict) -> set:
+    return {e["ph"] for e in json.loads(files["trace.json"])["traceEvents"]}
+
+
+def _metric(files: dict, name: str) -> dict:
+    """``{labels: value}`` of one metric in a build's metrics.prom."""
+    return {labels: value for (metric, labels), value
+            in parse_prometheus_text(files["metrics.prom"]).items()
+            if metric == name}
+
+
+@pytest.fixture(scope="module")
+def observed_fig8():
+    return _observe(FIG8_SMALL)
+
+
+@pytest.fixture(scope="module")
+def traced_fig8():
+    return _observe(FIG8_SMALL, trace_every=1)
+
+
+class TestObservedExperiment:
+    def test_every_build_has_its_files(self, observed_fig8):
+        assert [len(point) for point in observed_fig8.observations] == [2] * 4
+        for files in _builds(observed_fig8):
+            assert set(files) == FILES and all(files.values())
+            doc = json.loads(files["telemetry.json"])
+            assert doc["format"] == "repro-telemetry/1"
+            assert doc["series"] and doc["profile"]["events_total"] > 0
+            assert doc["sample_interval_ns"] == 1000.0
+            rows = parse_series_csv(files["series.csv"])
+            assert rows and all(isinstance(r[3], float) for r in rows)
+            assert sum(_metric(files, "nic_packets_sent").values()) > 0
+            assert _phases(files) == {"C"}  # packet rows come from spans
+
+    def test_itb_forwards_only_in_ud_itb_builds(self, observed_fig8):
+        itb = (("component", "nic[itb]"),)
+        for ud, ud_itb in observed_fig8.observations:
+            assert _metric(ud, "nic_packets_forwarded")[itb] == 0
+            assert _metric(ud_itb, "nic_packets_forwarded")[itb] > 0
+
+    def test_traced_builds_add_spans(self, traced_fig8):
+        builds = _builds(traced_fig8)
+        for files in builds:
+            assert set(files) == FILES | {"spans.json"}
+            assert {"C", "b", "e"} <= _phases(files)
+            assert load_dump(files["spans.json"])
+            assert _metric(files, "latency_breakdown_ns_count")
+        # The spans file is the build's canonical span dump.
+        assert [f["spans.json"] for f in builds] == traced_fig8.span_dumps
+
+    def test_jobs4_texts_match_serial(self, traced_fig8):
+        def texts(report):
+            # telemetry.json's profile holds wall times.
+            return [{name: text for name, text in files.items()
+                     if name != "telemetry.json"}
+                    for files in _builds(report)]
+
+        parallel = _observe(FIG8_SMALL, trace_every=1, jobs=4)
+        assert texts(parallel) == texts(traced_fig8)
+
+    @pytest.mark.parametrize("spec", [FIG8_SMALL, FAULT_SMALL],
+                             ids=["fig8", "fault-campaign"])
+    def test_observing_changes_no_result(self, spec, tmp_path):
+        docs = []
+        for observe in (False, True):
+            path = tmp_path / f"observe-{observe}.json"
+            Runner().run(spec.replace(observe=observe), save=str(path))
+            docs.append(json.loads(path.read_text()))
+        plain, observed = docs
+        name = spec.experiment
+        assert observed["specs"][name].pop("observe") is True
+        assert plain["specs"][name].pop("observe") is False
+        assert observed == plain
+
+    def test_adaptive_point_keeps_the_nic_event_sink(self):
+        """The harness's congestion view reuses the build's registry,
+        so firmware events still reach the exported metrics."""
+        spec = get_experiment("adaptive-itb").default_spec()
+        spec = spec.replace(duration_ns=20_000.0, warmup_ns=5_000.0,
+                            params={**spec.params, "switch_list": (8,),
+                                    "policies": ("least-loaded",),
+                                    "matrices": ("hotspot",)})
+        (files,) = _builds(_observe(spec))
+        assert sum(_metric(files, "nic_mcp_events_total").values()) > 0
+        assert sum(_metric(files, "itb_reselect_runs").values()) > 0
+
+
+class TestCliObserve:
+    def test_metrics_out_writes_a_directory_per_build(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "obs"
+        rc = main(["run", "fig8", "--iterations", "2", "--trace-every", "1",
+                   "--metrics-out", str(out)])
         assert rc == 0
+        assert "telemetry of 8 builds" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"p{point:03d}-b{build}" for point in range(4)
+            for build in range(2)]
+        for build_dir in out.iterdir():
+            assert {f.name for f in build_dir.iterdir()} == (
+                FILES | {"spans.json"})
+        assert configured_sample_every() is None  # tracing is off again
+
+    def test_trace_every_requires_metrics_out(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "fig8", "--iterations", "2", "--trace-every", "1"])
+        assert exc_info.value.code == 2
+        assert "--metrics-out" in capsys.readouterr().err
+
+
+class TestTraceInspector:
+    @pytest.fixture
+    def spans_file(self, traced_fig8, tmp_path):
+        """The span dump of the UD-ITB build at the largest size."""
+        path = tmp_path / "spans.json"
+        path.write_text(traced_fig8.observations[-1][1]["spans.json"])
+        return path
+
+    def test_summarize_prints_top_waterfalls(self, spans_file, capsys):
+        assert main(["trace", "summarize", str(spans_file),
+                     "--top", "2"]) == 0
         out = capsys.readouterr().out
-        assert "repro obs" in out
-        assert "engine profile" in out
-        assert "wrote prometheus" in out
-        assert (tmp_path / "metrics.prom").exists()
-        assert (tmp_path / "trace.json").exists()
+        assert out.startswith("traced ")
+        assert out.count("\ntrace ") == 2
+        assert "itb_buffer" in out
 
-    def test_obs_random_topology_smoke(self, capsys):
-        rc = main(["obs", "--topology", "random", "--switches", "4",
-                   "--hosts-per-switch", "1", "--duration", "20"])
-        assert rc == 0
-        assert "telemetry" in capsys.readouterr().out
+    def test_critical_path_total_is_the_sum_of_rows(self, spans_file,
+                                                     capsys):
+        assert main(["trace", "critical-path", str(spans_file)]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = [c.strip() for c in line.split("|")]
+            if len(cells) == 4 and cells[0] != "category":
+                rows[cells[0]] = float(cells[1])
+        total = rows.pop("TOTAL")
+        assert len(rows) == 8 and total > 0
+        # Each row is rounded to 0.01 us.
+        assert total == pytest.approx(sum(rows.values()), abs=0.05)
+
+    @pytest.mark.parametrize("content", [
+        None, "not json", "[1, 2]", '{"format": "repro-telemetry/1"}'],
+        ids=["missing", "not-json", "not-a-dict", "other-format"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys,
+                                             content):
+        path = tmp_path / "spans.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["trace", "summarize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro trace: {path}: ")

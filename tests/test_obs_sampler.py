@@ -65,6 +65,18 @@ class TestSampling:
         assert sampler.n_ticks == 3
         assert not sampler.running
 
+    def test_drained_calendar_stops_sampling(self):
+        # The model's last event is at t=100; run(until=...) reaches far
+        # past it, but the tick at t=100 finds nothing else on the
+        # calendar and is the last.
+        sim, _reg, _gauge, sampler = _ramp_setup(interval=10.0)
+        assert sim.run(until=1_000_000.0) == 1_000_000.0
+        assert not sampler.running
+        assert sampler.n_ticks == 11
+        ts = sampler.get("level", component="nic[a]")
+        assert ts.times()[-1] == pytest.approx(100.0)
+        assert ts.values()[-1] == 4.0
+
     def test_late_registered_gauge_is_picked_up(self):
         sim = Simulator()
         reg = MetricsRegistry()
@@ -74,6 +86,7 @@ class TestSampling:
         def register_later():
             yield Timeout(35.0)
             reg.gauge("late").set(9.0)
+            yield Timeout(25.0)  # keeps the calendar busy to t=60
 
         sim.process(register_later(), name="late")
         sim.run(until=60.0)

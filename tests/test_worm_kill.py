@@ -7,7 +7,9 @@ on a receive gate, a stepped worm queued at injection or blocked
 mid-route, or a stepped worm granted a lane in the very instant it is
 killed — once the simulation drains, every lane is free with an empty
 queue and the fabric's claim index is empty.  A traced victim's wire
-span closes with status ``killed``.
+span closes with status ``killed``.  With the express lane on, every
+lane's grants and busy time after the kill equal those of the stepped
+twin (``express_enabled = False``).
 
 Every scenario runs on a 3-switch line.  The victim ``V`` flies
 ``src -> s0 -> s1 -> s2 -> dst``; a crossing worm ``X`` flies
@@ -154,13 +156,11 @@ STATES = {
 }
 
 
-@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("lanes", [1, 2])
-@pytest.mark.parametrize("state", sorted(STATES))
-def test_kill_settles_fabric(state, lanes, traced):
-    case = STATES[state]
+def _run(case: Case, lanes: int, traced: bool, express: bool):
+    """Play ``case`` with the express lane on or off; returns the
+    fabric, both worms and whether the state held at the kill."""
     sim, fabric, victim_seg, cross_seg = _line(lanes)
-    fabric.express_enabled = case.express
+    fabric.express_enabled = express
     if traced:
         fabric.tracer = SpanTracer()
     gate = sim.event("never") if case.gated else None
@@ -177,6 +177,20 @@ def test_kill_settles_fabric(state, lanes, traced):
 
     sim.schedule_at(case.kill_at, kill)
     sim.run()
+    return fabric, v, x, seen
+
+
+def _lane_load(fabric):
+    return [(lane.grants, lane.busy_ns)
+            for ch in fabric.channels() for lane in ch.lanes]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_kill_settles_fabric(state, lanes, traced):
+    case = STATES[state]
+    fabric, v, x, seen = _run(case, lanes, traced, case.express)
 
     assert seen == [True], f"{state} not reached at {case.kill_at} ns"
     assert v.complete_time is None
@@ -193,3 +207,17 @@ def test_kill_settles_fabric(state, lanes, traced):
                  if s.name == "wire" and s.attrs.get("tag") == "V"]
         assert [s.status for s in wires] == ["killed"]
         assert wires[0].end == case.kill_at
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize(
+    "state", sorted(name for name, case in STATES.items() if case.express))
+def test_kill_load_matches_stepped_twin(state, lanes):
+    """Every lane's grants and busy time after a kill are the stepped
+    twin's: a hold that was still virtual counts from its closed-form
+    acquire to the kill, as the stepped lane's release counts it."""
+    case = STATES[state]
+    express, _v, _x, seen = _run(case, lanes, False, True)
+    stepped, _v, _x, _seen = _run(case, lanes, False, False)
+    assert seen == [True]
+    assert _lane_load(express) == _lane_load(stepped)

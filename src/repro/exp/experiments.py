@@ -286,18 +286,22 @@ class VcStudyExperiment(Experiment):
             params={"combined_lanes": 2},
         )
 
-    def _arms(self, spec: ExperimentSpec):
-        from repro.harness.vcstudy import study_arms, study_topology
+    def _topology(self, spec: ExperimentSpec):
+        from repro.harness.vcstudy import study_topology
 
-        topo = study_topology(spec.n_switches, spec.topo_seed,
+        return study_topology(spec.n_switches, spec.topo_seed,
                               spec.hosts_per_switch)
-        return topo, study_arms(
-            topo,
+
+    def _arms(self, spec: ExperimentSpec, topo, vc_lanes=None):
+        from repro.harness.vcstudy import study_arms
+
+        return study_arms(
+            topo, vc_lanes=vc_lanes,
             combined_lanes=int(spec.params.get("combined_lanes", 2)),
         )
 
     def points(self, spec: ExperimentSpec) -> list[dict]:
-        _topo, arms = self._arms(spec)
+        arms = self._arms(spec, self._topology(spec))
         return [
             {"mechanism": arm.mechanism, "routing": arm.routing,
              "lanes": arm.lanes, "lane_policy": arm.lane_policy,
@@ -328,12 +332,18 @@ class VcStudyExperiment(Experiment):
 
     def summarize(self, spec: ExperimentSpec, results: Sequence[Any]) -> Any:
         from repro.harness.vcstudy import (VcMechanismResult, VcStudyResult,
-                                           analyze_arm)
+                                           analyze_arm, study_routes,
+                                           vc_lanes_for)
 
-        topo, arms = self._arms(spec)
+        # One all-pairs build per routing: the VC arm is sized from the
+        # minimal set, and each arm is analysed on its routing's set.
+        topo = self._topology(spec)
+        routes = study_routes(topo)
+        arms = self._arms(spec, topo,
+                          vc_lanes=vc_lanes_for(topo, routes["minimal"]))
         rows = []
         for arm in arms:
-            free, required = analyze_arm(topo, arm)
+            free, required = analyze_arm(topo, arm, routes[arm.routing])
             rows.append(VcMechanismResult(
                 mechanism=arm.mechanism, routing=arm.routing,
                 lanes=arm.lanes, lane_policy=arm.lane_policy,

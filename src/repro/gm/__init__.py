@@ -12,49 +12,30 @@ paper's evaluation exercises:
   buffer pool,
 * :func:`run_mapper` — the network mapper: computes routes (up*/down*
   or ITB) and stamps route tables into every NIC's SRAM,
+* :func:`discover_network` — the mapper's exploration phase: scout
+  packets map the fabric before routes are computed
+  (``repro discover``),
 * :mod:`repro.gm.allsize` — the ``gm_allsize`` ping-pong latency test
   used for every measurement in the paper's Section 5.
+
+Nothing above ``GmHost.send``/``receive`` is modeled: the paper
+measures no application layer, only the MCP paths underneath.
 """
 
 from repro.gm.host import GmHost, GmMessage, GmSendError
 from repro.gm.mapper import run_mapper
 from repro.gm.allsize import PingPongResult, ping_pong, allsize_sweep
-from repro.gm.ports import GmPort, GmPortError, PortMessage
-from repro.gm.collectives import (
-    CollectiveContext,
-    all_reduce_sum,
-    barrier,
-    broadcast,
-    gather,
-    run_collective,
-)
 from repro.gm.discovery import DiscoveredMap, DiscoveryError, discover_network
-from repro.gm.ip import IpDatagram, IpEndpoint, IpStats
-from repro.gm.tcp_lite import TcpLiteEndpoint, TcpStats
 
 __all__ = [
-    "CollectiveContext",
     "DiscoveredMap",
     "DiscoveryError",
     "GmHost",
     "GmMessage",
-    "GmPort",
-    "GmPortError",
     "GmSendError",
-    "IpDatagram",
-    "IpEndpoint",
-    "IpStats",
     "PingPongResult",
-    "PortMessage",
-    "TcpLiteEndpoint",
-    "TcpStats",
-    "all_reduce_sum",
     "allsize_sweep",
-    "barrier",
-    "broadcast",
     "discover_network",
-    "gather",
     "ping_pong",
-    "run_collective",
     "run_mapper",
 ]

@@ -188,8 +188,6 @@ class GmHost:
         self.send_errors = 0
         self.route_failures = 0
         nic.deliver_up = self._on_nic_deliver
-        # Back-reference for the port layer (repro.gm.ports).
-        nic._gm_host = self  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # sending

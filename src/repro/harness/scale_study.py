@@ -39,6 +39,7 @@ up directly as a shrinking bound while ITB's spread keeps it flat.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -243,7 +244,11 @@ def measure_scale_point(
 
     dynamic: Optional[ScaleDynamicPoint] = None
     if target <= dynamic_max:
-        net = build_load_network(topo, routing, timings=timings, build=build)
+        # The mapper stamps the routes scored above instead of routing
+        # the fabric a second time.
+        net = build_load_network(
+            topo, routing, timings=timings,
+            build=functools.partial(build, route_overrides=pairs))
         stats = drive_traffic(
             net, rate_bytes_per_ns_per_host=rate, packet_size=packet_size,
             duration_ns=duration_ns, warmup_ns=warmup_ns, seed=traffic_seed,

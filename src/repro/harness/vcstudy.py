@@ -63,6 +63,7 @@ __all__ = [
     "analyze_arm",
     "measure_vc_point",
     "study_arms",
+    "study_routes",
     "study_topology",
 ]
 
@@ -154,12 +155,23 @@ def _all_pairs_routes(topo: Topology, routing: str) -> list:
     return list(router.itb_all_pairs().values())
 
 
-def vc_lanes_for(topo: Topology) -> int:
+def study_routes(topo: Topology) -> dict[str, list]:
+    """All-pairs routes of each routing the arms use, built once: the
+    ``vc`` arm shares the minimal set and ``itb+vc`` the ITB set."""
+    return {routing: _all_pairs_routes(topo, routing)
+            for routing in ("updown", "itb", "minimal")}
+
+
+def vc_lanes_for(topo: Topology,
+                 minimal_routes: Optional[list] = None) -> int:
     """Lane count the escape policy needs on this topology's minimal
-    routes — how the VC arm sizes its fabric."""
+    routes — how the VC arm sizes its fabric.  ``minimal_routes`` are
+    those routes when already built (see :func:`study_routes`)."""
     from repro.routing.cdg import lanes_required
 
-    return lanes_required(topo, _all_pairs_routes(topo, "minimal"))
+    if minimal_routes is None:
+        minimal_routes = _all_pairs_routes(topo, "minimal")
+    return lanes_required(topo, minimal_routes)
 
 
 def study_arms(topo: Topology, vc_lanes: Optional[int] = None,
@@ -176,16 +188,17 @@ def study_arms(topo: Topology, vc_lanes: Optional[int] = None,
     ]
 
 
-def analyze_arm(topo: Topology, arm: VcArm) -> tuple[bool, int]:
+def analyze_arm(topo: Topology, arm: VcArm,
+                routes: list) -> tuple[bool, int]:
     """Static CDG verdict for one arm on its actual stamped routes.
 
-    Returns ``(deadlock_free, lanes_required)`` where the second value
-    is the escape-walk lane demand of the arm's route set (1 for
-    descent-free routings).
+    ``routes`` is the all-pairs route set of the arm's routing (see
+    :func:`study_routes`).  Returns ``(deadlock_free,
+    lanes_required)`` where the second value is the escape-walk lane
+    demand of that route set (1 for descent-free routings).
     """
     from repro.routing.cdg import is_deadlock_free, lanes_required
 
-    routes = _all_pairs_routes(topo, arm.routing)
     return (
         is_deadlock_free(topo, routes, n_lanes=arm.lanes,
                          lane_policy=arm.lane_policy),

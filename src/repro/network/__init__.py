@@ -32,7 +32,6 @@ from repro.network.faults import (
     FaultPlan,
     install_fault_plan,
 )
-from repro.network.flow_control import StopGoChannel, required_slack_bytes
 from repro.network.deadlock import (
     DeadlockReport,
     DeadlockWatchdog,
@@ -53,7 +52,6 @@ __all__ = [
     "FixedLanePolicy",
     "LanePolicy",
     "RoundRobinLanePolicy",
-    "StopGoChannel",
     "Worm",
     "WormObserver",
     "detect_deadlock",
@@ -61,5 +59,4 @@ __all__ = [
     "install_fault_plan",
     "lanes_needed",
     "make_lane_policy",
-    "required_slack_bytes",
 ]

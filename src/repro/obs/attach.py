@@ -138,7 +138,7 @@ class Telemetry:
             self.profiler.uninstall()
 
 
-def _attach_nic(registry: MetricsRegistry, nic) -> None:
+def _attach_nic(registry: MetricsRegistry, nic, gm) -> None:
     comp = f"nic[{nic.name}]"
     stats = nic.stats
     for f in dataclasses.fields(NicStats):
@@ -166,13 +166,11 @@ def _attach_nic(registry: MetricsRegistry, nic) -> None:
         )
     # Publish future firmware emit() calls as counters too.
     nic.metrics = registry
-    gm = getattr(nic, "_gm_host", None)
-    if gm is not None:
-        for name, (attr, help_) in _GM_COUNTERS.items():
-            registry.counter(
-                name, component=comp, help=help_,
-                fn=lambda g=gm, a=attr: getattr(g, a),
-            )
+    for name, (attr, help_) in _GM_COUNTERS.items():
+        registry.counter(
+            name, component=comp, help=help_,
+            fn=lambda g=gm, a=attr: getattr(g, a),
+        )
 
 
 def _attach_faults(registry: MetricsRegistry, fabric) -> None:
@@ -340,8 +338,8 @@ def instrument_network(
     :class:`~repro.obs.profiler.Profiler` is installed on the engine.
     """
     registry = registry or MetricsRegistry()
-    for _host, nic in sorted(net.nics.items()):
-        _attach_nic(registry, nic)
+    for host, nic in sorted(net.nics.items()):
+        _attach_nic(registry, nic, net.gm_hosts[host])
     _attach_express(registry, net.fabric)
     _attach_faults(registry, net.fabric)
     _attach_itb_reselect(registry, net.fabric)

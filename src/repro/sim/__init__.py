@@ -9,7 +9,7 @@ Public surface
 :class:`Simulator`
     The event loop: schedules callbacks, runs generator processes.
 :class:`Process`
-    Handle for a running generator process (joinable, interruptible).
+    Handle for a running generator process (interruptible).
 :class:`Event`
     One-shot triggerable event that processes can wait on.
 :class:`Timeout`
@@ -21,8 +21,6 @@ Public surface
 """
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -33,8 +31,6 @@ from repro.sim.engine import (
 from repro.sim.resources import Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "Process",

@@ -19,9 +19,10 @@ The engine is an event-calendar loop with two lanes:
 Processes are Python generators that yield *waitables*:
 
 * :class:`Timeout` — resume after a simulated delay,
-* :class:`Event` — resume when the event is triggered,
-* another :class:`Process` — resume when it terminates (join),
-* :class:`AllOf` / :class:`AnyOf` — composite conditions.
+* :class:`Event` — resume when the event is triggered.
+
+Anything else yielded crashes the process with a
+:class:`SimulationError`.
 
 A process waiting on a :class:`Timeout` is resumed *directly from the
 calendar*: no intermediate :class:`Event` is allocated and no callback
@@ -47,11 +48,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "Process",
@@ -171,56 +170,24 @@ class Timeout:
         return f"Timeout({self.delay})"
 
 
-class AllOf:
-    """Composite waitable: resumes when *all* child events have triggered.
-
-    The yielded value is the list of child event values, in input order.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self.events = list(events)
-
-
-class AnyOf:
-    """Composite waitable: resumes when *any* child event triggers.
-
-    The yielded value is ``(index, value)`` of the first event to fire.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self.events = list(events)
-
-
 ProcessGen = Generator[Any, Any, Any]
 
 
 class Process:
     """Handle to a running generator process.
 
-    A ``Process`` is itself waitable: yielding it from another process
-    joins it (resumes the waiter when this process returns), with the
-    process's return value delivered as the yield result.
-
-    The done-event behind a join is created on demand, the first time
-    :attr:`done_event` is read or another process joins: most processes
-    are never joined, and an event nothing waits on would only be
-    allocated and triggered for nothing.
+    A process can be interrupted while it runs, and its generator's
+    return value is kept in :attr:`returned` once it has ended.
     """
 
-    __slots__ = ("sim", "gen", "name", "_done", "_alive", "_crash_exc",
-                 "_waiting_on", "_return", "_wait_token")
+    __slots__ = ("sim", "gen", "name", "_alive", "_waiting_on", "_return",
+                 "_wait_token")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "") -> None:
         self.sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._done: Optional[Event] = None
         self._alive = True
-        self._crash_exc: Optional[BaseException] = None
         self._waiting_on: Optional[Event] = None
         self._return: Any = None
         self._wait_token = 0
@@ -230,22 +197,6 @@ class Process:
     @property
     def alive(self) -> bool:
         return self._alive
-
-    @property
-    def done_event(self) -> Event:
-        """Triggers when the process returns; fails when it crashes.
-
-        Read after the process has ended, it is already triggered (or
-        already failed)."""
-        done = self._done
-        if done is None:
-            done = self._done = Event(self.sim, name=f"done:{self.name}")
-            if not self._alive:
-                if self._crash_exc is not None:
-                    done.fail(self._crash_exc)
-                else:
-                    done.succeed(self._return)
-        return done
 
     @property
     def returned(self) -> Any:
@@ -354,67 +305,17 @@ class Process:
         self._step(value)
 
     def _wait_event(self, target: Event) -> None:
-        self._attach(target)
-
-    def _wait_process(self, target: "Process") -> None:
-        self._attach(target.done_event)
-
-    def _wait_all_of(self, target: AllOf) -> None:
-        self._attach(self._make_all_of(target))
-
-    def _wait_any_of(self, target: AnyOf) -> None:
-        self._attach(self._make_any_of(target))
-
-    def _attach(self, ev: Event) -> None:
-        self._waiting_on = ev
-        ev.add_callback(self._resume_from_event)
-
-    def _make_all_of(self, composite: AllOf) -> Event:
-        done = Event(self.sim, name="all_of")
-        remaining = len(composite.events)
-        if remaining == 0:
-            self.sim.schedule(0.0, lambda: done.succeed([]))
-            return done
-        state = {"left": remaining}
-
-        def on_child(_child: Event) -> None:
-            state["left"] -= 1
-            if state["left"] == 0 and not done.triggered:
-                done.succeed([e.value for e in composite.events])
-
-        for child in composite.events:
-            child.add_callback(on_child)
-        return done
-
-    def _make_any_of(self, composite: AnyOf) -> Event:
-        done = Event(self.sim, name="any_of")
-        if not composite.events:
-            raise SimulationError("AnyOf of zero events can never trigger")
-
-        def make_cb(index: int) -> Callable[[Event], None]:
-            def on_child(child: Event) -> None:
-                if not done.triggered:
-                    done.succeed((index, child.value))
-
-            return on_child
-
-        for i, child in enumerate(composite.events):
-            child.add_callback(make_cb(i))
-        return done
+        self._waiting_on = target
+        target.add_callback(self._resume_from_event)
 
     def _finish(self, value: Any) -> None:
         self._return = value
         self._alive = False
-        if self._done is not None:
-            self._done.succeed(value)
 
     def _crash(self, exc: BaseException) -> None:
         self.sim._record_crash(self, exc)
         self._return = None
         self._alive = False
-        self._crash_exc = exc
-        if self._done is not None:
-            self._done.fail(exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} {'alive' if self.alive else 'done'}>"
@@ -426,19 +327,13 @@ class Process:
 _WAIT_DISPATCH: dict[type, Callable[[Process, Any], None]] = {
     Timeout: Process._wait_timeout,
     Event: Process._wait_event,
-    Process: Process._wait_process,
-    AllOf: Process._wait_all_of,
-    AnyOf: Process._wait_any_of,
 }
 
 
 def _resolve_wait_handler(target: Any) -> Optional[Callable[[Process, Any], None]]:
     """Slow path: resolve (and memoize) a handler for waitable subclasses."""
     for base, handler in ((Timeout, Process._wait_timeout),
-                          (Event, Process._wait_event),
-                          (Process, Process._wait_process),
-                          (AllOf, Process._wait_all_of),
-                          (AnyOf, Process._wait_any_of)):
+                          (Event, Process._wait_event)):
         if isinstance(target, base):
             _WAIT_DISPATCH[target.__class__] = handler
             return handler

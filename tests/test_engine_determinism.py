@@ -70,6 +70,29 @@ class TestGoldenDocuments:
         )
         assert got == (GOLDEN / "fault_campaign.json").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    def test_vc_study_quick_byte_identical(self, tmp_path, jobs):
+        got = _run_cli(tmp_path, f"vc_study_j{jobs}.json", "run",
+                       "vc-study", "--quick", "--jobs", jobs)
+        assert got == (GOLDEN / "vc_study_quick.json").read_bytes()
+
+    def test_scale_study_quick_matches_apart_from_wall_clock(self, tmp_path):
+        """Every field but the wall-clock ``build_s``/``route_s``, which
+        the golden copy leaves out."""
+        got = json.loads(_run_cli(tmp_path, "scale_study.json", "run",
+                                  "scale-study", "--quick"))
+        golden = json.loads((GOLDEN / "scale_study_quick.json").read_text())
+        assert _drop_wall_clock(got) == golden
+
+
+def _drop_wall_clock(doc):
+    if isinstance(doc, dict):
+        return {k: _drop_wall_clock(v) for k, v in doc.items()
+                if k not in ("build_s", "route_s")}
+    if isinstance(doc, list):
+        return [_drop_wall_clock(v) for v in doc]
+    return doc
+
 
 def _oracle_order(ops):
     """Reference dispatch order: a single (time, priority, seq) heap
@@ -147,6 +170,7 @@ class TestLaneInterleaving:
 class TestGoldenFilesAreCanonical:
     def test_golden_docs_parse_and_carry_format_version(self):
         for name in ("fig7.json", "fig8.json", "throughput.json",
-                     "fault_campaign.json"):
+                     "fault_campaign.json", "vc_study_quick.json",
+                     "scale_study_quick.json"):
             doc = json.loads((GOLDEN / name).read_text())
             assert doc["format_version"] == 2, name

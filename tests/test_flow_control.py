@@ -13,12 +13,12 @@ from dataclasses import astuple
 
 import pytest
 
-from repro.network.flow_control import (
+from repro.sim.engine import Simulator
+from tests.oracles.stopgo import (
     StopGoChannel,
     required_slack_bytes,
     StopGoStats,
 )
-from repro.sim.engine import Simulator
 
 
 BYTE_NS = 6.25

@@ -1,8 +1,7 @@
 """Property-based validation of the physical models (hypothesis).
 
 Randomized configurations checked against closed-form math: the worm
-pipeline against the cut-through latency formula, and IP
-fragmentation against the fragment-count/coverage arithmetic.
+pipeline against the cut-through latency formula.
 """
 
 from __future__ import annotations
@@ -78,38 +77,3 @@ def test_worm_latency_matches_closed_form(n_switches, payload_len,
     wire_at_dst = len(image.data) - n_switches
     assert rec.complete_at == pytest.approx(
         head + t.wire_time(wire_at_dst))
-
-
-@given(size=st.integers(min_value=0, max_value=40_000))
-@settings(max_examples=30, deadline=None)
-def test_ip_fragmentation_arithmetic(size):
-    """Any datagram size: the endpoint sends exactly
-    ceil(size / payload)-ish fragments (8-byte alignment for non-final
-    ones), every fragment is within the GM MTU, and the receiver
-    reassembles the full length."""
-    from repro.core.builder import build_network
-    from repro.core.config import NetworkConfig
-    from repro.gm.ip import FRAGMENT_PAYLOAD, IpEndpoint
-
-    cfg = NetworkConfig(
-        firmware="itb", routing="updown", reliable=False,
-        timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
-    )
-    net = build_network("fig6", config=cfg)
-    a = IpEndpoint(net.gm("host1"))
-    b = IpEndpoint(net.gm("host2"))
-    got = []
-    b.on_datagram(got.append)
-    a.send(net.roles["host2"], size)
-    net.sim.run(until=500_000_000)
-
-    assert len(got) == 1
-    assert got[0].length == size
-    # Fragment-count bound: alignment can only add fragments, never
-    # remove them, and each fragment moves at least FRAG_UNIT bytes
-    # (except a sole/final short one).
-    min_frags = max(1, -(-size // FRAGMENT_PAYLOAD))
-    assert a.stats.fragments_sent >= min_frags
-    assert a.stats.fragments_sent <= min_frags + size // FRAGMENT_PAYLOAD + 1
-    assert b.stats.fragments_received == a.stats.fragments_sent
-    assert b.partial_reassemblies == 0

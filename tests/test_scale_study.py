@@ -14,6 +14,8 @@ from repro.harness.scale_study import (
     fat_tree_k_for,
     measure_scale_point,
 )
+from repro.routing.itb import ItbRouter
+from repro.routing.updown import UpDownRouter
 
 
 def _quick_spec(**params):
@@ -86,6 +88,26 @@ class TestMeasureScalePoint:
         assert row.dynamic.offered == 0.06
         assert row.dynamic.accepted > 0
         assert 0 < row.dynamic.delivered_fraction <= 1.0
+
+    @pytest.mark.parametrize("routing", ["updown", "itb"])
+    def test_dynamic_point_routes_each_pair_once(self, monkeypatch,
+                                                 routing):
+        """The dynamic build stamps the routes the point scored, so each
+        ordered host pair is routed once, not once per build."""
+        routed = []
+        for cls in (UpDownRouter, ItbRouter):
+            def counting(self, *args, _routes_from=cls.routes_from,
+                         **kwargs):
+                out = _routes_from(self, *args, **kwargs)
+                routed.extend(out)
+                return out
+
+            monkeypatch.setattr(cls, "routes_from", counting)
+        row = measure_scale_point("irregular", 16, routing, topo_seed=11,
+                                  rate=0.06, dynamic_max=16,
+                                  duration_ns=10_000.0, warmup_ns=2_000.0)
+        assert row.dynamic is not None
+        assert len(routed) == row.n_pairs == row.n_hosts * (row.n_hosts - 1)
 
 
 class TestQuickRun:

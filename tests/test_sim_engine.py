@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Interrupt,
     SimulationError,
     Timeout,
@@ -194,36 +192,6 @@ class TestProcesses:
         with pytest.raises(ValueError):
             Timeout(-0.1)
 
-    def test_join_returns_value(self, sim):
-        def child():
-            yield Timeout(3)
-            return "result"
-
-        def parent():
-            value = yield sim.process(child())
-            return value
-
-        p = sim.process(parent())
-        sim.run()
-        assert p.returned == "result"
-        assert not p.alive
-
-    def test_join_already_finished_process(self, sim):
-        def child():
-            yield Timeout(1)
-            return 7
-
-        c = sim.process(child())
-
-        def parent():
-            yield Timeout(10)  # child long done
-            value = yield c
-            return value
-
-        p = sim.process(parent())
-        sim.run()
-        assert p.returned == 7
-
     def test_crash_propagates_from_run(self, sim):
         def bad():
             yield Timeout(1)
@@ -234,12 +202,20 @@ class TestProcesses:
             sim.run()
 
     def test_yield_garbage_is_error(self, sim):
-        def bad():
-            yield 42
+        """Only a Timeout or an Event is waitable.  Anything else crashes
+        the yielder, a Process too: a join fails loudly instead of
+        hanging."""
+        def child():
+            yield Timeout(1)
 
-        sim.process(bad())
-        with pytest.raises(SimulationError, match="non-waitable"):
-            sim.run()
+        def bad(target):
+            yield target
+
+        for garbage in (42, sim.process(child())):
+            sim.process(bad(garbage))
+            with pytest.raises(SimulationError, match="non-waitable"):
+                sim.run()
+            sim._crashed.clear()  # a crash stops the run; run the next
 
     def test_interrupt_delivers_cause(self, sim):
         causes = []
@@ -283,47 +259,6 @@ class TestProcesses:
         assert p.returned == "done"
 
 
-class TestComposites:
-    def test_all_of_waits_for_all(self, sim):
-        e1, e2 = sim.event(), sim.event()
-        seen = []
-
-        def proc():
-            values = yield AllOf([e1, e2])
-            seen.append((sim.now, values))
-
-        sim.process(proc())
-        sim.schedule(3, lambda: e1.succeed("a"))
-        sim.schedule(9, lambda: e2.succeed("b"))
-        sim.run()
-        assert seen == [(9.0, ["a", "b"])]
-
-    def test_all_of_empty_fires_immediately(self, sim):
-        seen = []
-
-        def proc():
-            values = yield AllOf([])
-            seen.append(values)
-
-        sim.process(proc())
-        sim.run()
-        assert seen == [[]]
-
-    def test_any_of_returns_first(self, sim):
-        e1, e2 = sim.event(), sim.event()
-        seen = []
-
-        def proc():
-            idx, value = yield AnyOf([e1, e2])
-            seen.append((sim.now, idx, value))
-
-        sim.process(proc())
-        sim.schedule(4, lambda: e2.succeed("fast"))
-        sim.schedule(8, lambda: e1.succeed("slow"))
-        sim.run()
-        assert seen == [(4.0, 1, "fast")]
-
-
 class TestRunUntilEvent:
     def test_returns_value(self, sim):
         ev = sim.event()
@@ -358,92 +293,19 @@ class _DispatchRecorder:
 
 
 class TestProcessLifecycle:
-    """Done-events exist only on demand; joins behave as if they always
-    did."""
+    """A process is alive until its generator ends, keeps its return
+    value after the end, and the engine's own enqueues stay attributable
+    to the engine."""
 
-    def test_alive_and_done_event_before_and_after_the_end(self, sim):
+    def test_alive_and_returned_before_and_after_the_end(self, sim):
         def child():
             yield Timeout(2)
             return "r"
 
-        watched = sim.process(child())
-        unwatched = sim.process(child())
-        assert watched.alive and unwatched.alive
-        done = watched.done_event  # read while running
-        assert not done.triggered
+        p = sim.process(child())
+        assert p.alive and p.returned is None
         sim.run()
-        for p in (watched, unwatched):
-            assert not p.alive and p.returned == "r"
-        assert watched.done_event is done and done.ok and done.value == "r"
-        # First read after the end: created already triggered.
-        late = unwatched.done_event
-        assert late.triggered and late.ok and late.value == "r"
-
-    def test_join_finished_and_running_processes(self, sim):
-        def child(delay, value):
-            yield Timeout(delay)
-            return value
-
-        quick = sim.process(child(1, "quick"))
-        slow = sim.process(child(5, "slow"))
-        got = []
-
-        def parent():
-            yield Timeout(3)
-            for target in (quick, slow):  # ended at t=1; still running
-                value = yield target
-                got.append((sim.now, value))
-
-        sim.process(parent())
-        sim.run()
-        assert got == [(3.0, "quick"), (5.0, "slow")]
-
-    def test_join_crashed_process_raises_in_the_joiner(self, sim):
-        def bad(delay):
-            yield Timeout(delay)
-            raise ValueError(f"bug@{delay}")
-
-        seen = []
-
-        def joiner(target):
-            try:
-                yield target
-            except ValueError as err:
-                seen.append((sim.now, str(err)))
-
-        early = sim.process(bad(1))  # joined only after it crashed
-        late = sim.process(bad(2))  # joined while it runs
-        sim.process(joiner(late))
-        for _ in range(2):
-            with pytest.raises(SimulationError, match="bug@"):
-                sim.run()
-            # A crash stops the run; drop the record so the queued
-            # joiner wake-ups can be observed.
-            sim._crashed.clear()
-        assert not early.alive and not late.alive
-        sim.process(joiner(early))
-        sim.run()
-        assert seen == [(2.0, "bug@2"), (2.0, "bug@1")]
-        assert early.done_event.triggered and not early.done_event.ok
-
-    def test_done_event_callbacks_fire(self, sim):
-        """The path ``gm/collectives.py`` counts completions through."""
-        def child(delay):
-            yield Timeout(delay)
-            return delay
-
-        procs = [sim.process(child(d)) for d in (1, 4)]
-        fired = []
-
-        def on_done(ev):
-            fired.append((sim.now, ev.value))
-
-        for p in procs:
-            p.done_event.add_callback(on_done)
-        sim.run()
-        procs[0].done_event.add_callback(on_done)  # after the end
-        sim.run()
-        assert fired == [(1.0, 1), (4.0, 4), (4.0, 1)]
+        assert not p.alive and p.returned == "r"
 
     def test_engine_enqueued_callbacks_are_defined_in_the_engine(self, sim):
         """Process start, timeout resume and event fan-out enqueue

@@ -8,6 +8,7 @@ from repro.harness.vcstudy import (
     VcStudyResult,
     analyze_arm,
     study_arms,
+    study_routes,
     study_topology,
     vc_lanes_for,
 )
@@ -48,9 +49,29 @@ class TestArms:
         """Minimal routing deadlocks unlaned on the headline topology;
         every dynamic arm is provably deadlock-free."""
         topo = study_topology(8, 5, 2)
+        routes = study_routes(topo)
         for arm in study_arms(topo):
-            free, _need = analyze_arm(topo, arm)
+            free, _need = analyze_arm(topo, arm, routes[arm.routing])
             assert free == (arm.mechanism != "minimal")
+
+
+class TestRouteBuilds:
+    def test_each_route_set_built_once_per_run(self, monkeypatch):
+        """``points`` sizes the VC arm from one minimal build, and
+        ``summarize`` routes updown, itb and minimal once each: at most
+        4 all-pairs builds per run, not one per arm."""
+        import repro.harness.vcstudy as vcstudy
+
+        calls = []
+        all_pairs_routes = vcstudy._all_pairs_routes
+
+        def counting(topo, routing):
+            calls.append(routing)
+            return all_pairs_routes(topo, routing)
+
+        monkeypatch.setattr(vcstudy, "_all_pairs_routes", counting)
+        Runner().run(_quick_spec())
+        assert len(calls) <= 4, calls
 
 
 class TestQuickRun:

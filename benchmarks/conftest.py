@@ -7,83 +7,20 @@ factor, trend) still holds.
 
 Two sizes:
 
-* default — quick settings, minutes for the whole suite;
+* default — quick settings, seconds for the whole suite;
 * ``REPRO_FULL=1`` — paper-scale settings (100 iterations, the full
   gm_allsize ladder, 64-switch throughput runs).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 import pytest
-
-#: Repo root — BENCH_<group>.json trajectory files land here.
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def full_scale() -> bool:
     return os.environ.get("REPRO_FULL", "0") == "1"
-
-
-def _group_of(nodeid: str) -> str:
-    """``benchmarks/test_bench_engine.py::test_x`` -> ``engine``."""
-    module = nodeid.split("::", 1)[0]
-    stem = Path(module).stem
-    return stem.removeprefix("test_bench_") or stem
-
-
-@pytest.fixture(scope="session")
-def bench_trajectory():
-    """Session-wide store of benchmark headline numbers.
-
-    Maps group -> test name -> record.  Written to ``BENCH_<group>.json``
-    at the repo root when the session ends (one machine-readable file
-    per benchmark module), which ``repro bench-report`` tabulates and
-    CI archives / checks against the committed baseline.
-    """
-    store: dict[str, dict[str, dict]] = {}
-    yield store
-    for group, records in sorted(store.items()):
-        path = _REPO_ROOT / f"BENCH_{group}.json"
-        doc = {
-            "format": "bench-trajectory/1",
-            "group": group,
-            "full_scale": full_scale(),
-            "records": records,
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-@pytest.fixture
-def bench_headline(request, bench_trajectory):
-    """Per-test dict for extra headline numbers (speedup ratios,
-    latencies...); merged into the test's trajectory record."""
-    extra: dict = {}
-    yield extra
-
-
-@pytest.fixture(autouse=True)
-def _record_bench(request, bench_trajectory):
-    """Record wall-clock (and pytest-benchmark stats when present) for
-    every benchmark into the session trajectory."""
-    started = time.perf_counter()
-    yield
-    record: dict = {"wall_s": round(time.perf_counter() - started, 6)}
-    bench = request.node.funcargs.get("benchmark")
-    stats = getattr(getattr(bench, "stats", None), "stats", None)
-    if stats is not None:
-        record["mean_s"] = stats.mean
-        record["min_s"] = stats.min
-        record["rounds"] = stats.rounds
-    extra = request.node.funcargs.get("bench_headline")
-    if extra:
-        record.update(extra)
-    group = _group_of(request.node.nodeid)
-    bench_trajectory.setdefault(group, {})[request.node.name] = record
 
 
 @pytest.fixture(scope="session")

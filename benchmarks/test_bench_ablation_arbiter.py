@@ -34,14 +34,14 @@ def _overhead(contention: bool, size: int, iterations: int) -> float:
     return 2.0 * (itb.mean_ns - ud.mean_ns)
 
 
-def test_bench_ablation_arbiter(benchmark, scale):
+def test_bench_ablation_arbiter(scale):
     def run():
         return {
             False: _overhead(False, 256, scale["iterations"]),
             True: _overhead(True, 256, scale["iterations"]),
         }
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
 
     print()
     print(format_table(

@@ -13,13 +13,9 @@ from repro.harness.ablations import run_ablation_buffer_pool
 from repro.harness.report import format_table
 
 
-def test_bench_ablation_bufpool(benchmark):
-    results = benchmark.pedantic(
-        run_ablation_buffer_pool,
-        kwargs=dict(n_senders=4, packets_per_sender=25,
-                    packet_size=1024, pool_bytes=8 * 1024),
-        rounds=1, iterations=1,
-    )
+def test_bench_ablation_bufpool():
+    results = run_ablation_buffer_pool(n_senders=4, packets_per_sender=25,
+                                       packet_size=1024, pool_bytes=8 * 1024)
 
     print()
     print(format_table(

@@ -14,13 +14,10 @@ from repro.harness.ablations import run_ablation_load
 from repro.harness.report import format_table
 
 
-def test_bench_ablation_load(benchmark, scale):
-    result = benchmark.pedantic(
-        run_ablation_load,
-        kwargs=dict(size=256, iterations=max(10, scale["iterations"] // 2),
-                    background_gap_ns=9_000.0),
-        rounds=1, iterations=1,
-    )
+def test_bench_ablation_load(scale):
+    result = run_ablation_load(
+        size=256, iterations=max(10, scale["iterations"] // 2),
+        background_gap_ns=9_000.0)
 
     print()
     print(format_table(

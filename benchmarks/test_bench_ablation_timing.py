@@ -13,12 +13,8 @@ from repro.harness.ablations import run_ablation_timing
 from repro.harness.report import format_table
 
 
-def test_bench_ablation_timing(benchmark, scale):
-    rows = benchmark.pedantic(
-        run_ablation_timing,
-        kwargs=dict(size=64, iterations=scale["iterations"]),
-        rounds=1, iterations=1,
-    )
+def test_bench_ablation_timing(scale):
+    rows = run_ablation_timing(size=64, iterations=scale["iterations"])
 
     print()
     print(format_table(

@@ -12,18 +12,14 @@ from repro.harness.apps import run_app_comparison
 from repro.harness.report import format_table
 
 
-def test_bench_apps(benchmark, scale):
+def test_bench_apps(scale):
     n_switches = max(scale["throughput_switches"])
-    results = benchmark.pedantic(
-        run_app_comparison,
-        kwargs=dict(
-            n_switches=n_switches,
-            kernels=("all-to-all", "ring", "random-pairs"),
-            iterations=3,
-            message_size=1024,
-            hosts_per_switch=2,
-        ),
-        rounds=1, iterations=1,
+    results = run_app_comparison(
+        n_switches=n_switches,
+        kernels=("all-to-all", "ring", "random-pairs"),
+        iterations=3,
+        message_size=1024,
+        hosts_per_switch=2,
     )
 
     by = {(r.kernel, r.routing): r for r in results}

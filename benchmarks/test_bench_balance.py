@@ -17,7 +17,7 @@ from repro.network.instrumentation import FabricUsage
 from repro.topology.generators import random_irregular
 
 
-def test_bench_balance(benchmark, scale):
+def test_bench_balance(scale):
     n_switches = max(scale["throughput_switches"])
     rate = scale["throughput_rates"][len(scale["throughput_rates"]) // 2]
 
@@ -34,7 +34,7 @@ def test_bench_balance(benchmark, scale):
             out[routing] = usage
         return out
 
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    results = run_both()
 
     rows = []
     for routing, usage in results.items():

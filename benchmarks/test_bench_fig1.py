@@ -10,8 +10,8 @@ from repro.harness.fig1 import run_fig1
 from repro.harness.report import format_table, paper_vs_measured
 
 
-def test_bench_fig1(benchmark):
-    result = benchmark.pedantic(run_fig1, rounds=1, iterations=1)
+def test_bench_fig1():
+    result = run_fig1()
 
     print()
     print(format_table(

@@ -11,12 +11,8 @@ from repro.harness.fig7 import run_fig7
 from repro.harness.report import format_table, paper_vs_measured
 
 
-def test_bench_fig7(benchmark, scale):
-    result = benchmark.pedantic(
-        run_fig7,
-        kwargs=dict(sizes=scale["sizes"], iterations=scale["iterations"]),
-        rounds=1, iterations=1,
-    )
+def test_bench_fig7(scale):
+    result = run_fig7(sizes=scale["sizes"], iterations=scale["iterations"])
 
     rows = [
         (r.size, r.original_ns / 1000.0, r.modified_ns / 1000.0,

@@ -11,12 +11,8 @@ from repro.harness.fig8 import run_fig8
 from repro.harness.report import format_table, paper_vs_measured
 
 
-def test_bench_fig8(benchmark, scale):
-    result = benchmark.pedantic(
-        run_fig8,
-        kwargs=dict(sizes=scale["sizes"], iterations=scale["iterations"]),
-        rounds=1, iterations=1,
-    )
+def test_bench_fig8(scale):
+    result = run_fig8(sizes=scale["sizes"], iterations=scale["iterations"])
 
     rows = [
         (r.size, r.ud_ns / 1000.0, r.ud_itb_ns / 1000.0,

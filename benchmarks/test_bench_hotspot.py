@@ -16,7 +16,7 @@ from repro.harness.throughput import run_throughput
 from repro.harness.workloads import hotspot_traffic
 
 
-def test_bench_hotspot(benchmark, scale):
+def test_bench_hotspot(scale):
     n_switches = max(scale["throughput_switches"])
     rates = scale["throughput_rates"][-2:]
 
@@ -36,7 +36,7 @@ def test_bench_hotspot(benchmark, scale):
             )
         return results
 
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    results = run_both()
 
     rows = []
     for label, res in results.items():

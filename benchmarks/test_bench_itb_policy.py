@@ -38,7 +38,7 @@ def _build(policy_factory, n_switches, seed):
     return net, router
 
 
-def test_bench_itb_policy(benchmark, scale):
+def test_bench_itb_policy(scale):
     n_switches = min(scale["throughput_switches"][-1], 16)
     rate = scale["throughput_rates"][len(scale["throughput_rates"]) // 2]
 
@@ -66,7 +66,7 @@ def test_bench_itb_policy(benchmark, scale):
             }
         return out
 
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    results = run_both()
 
     print()
     print(format_table(

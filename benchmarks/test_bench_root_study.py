@@ -13,13 +13,9 @@ from repro.harness.report import format_table
 from repro.harness.root_study import run_root_study
 
 
-def test_bench_root_study(benchmark):
-    rows = benchmark.pedantic(
-        run_root_study,
-        kwargs=dict(n_switches=16, topo_seed=33, hosts_per_switch=1,
-                    switch_links=3),
-        rounds=1, iterations=1,
-    )
+def test_bench_root_study():
+    rows = run_root_study(n_switches=16, topo_seed=33, hosts_per_switch=1,
+                          switch_links=3)
 
     print()
     print(format_table(

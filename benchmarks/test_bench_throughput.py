@@ -15,7 +15,7 @@ from repro.harness.report import format_table, paper_vs_measured
 from repro.harness.throughput import run_throughput
 
 
-def test_bench_throughput(benchmark, scale):
+def test_bench_throughput(scale):
     def sweep_all():
         results = {}
         for n_sw in scale["throughput_switches"]:
@@ -30,7 +30,7 @@ def test_bench_throughput(benchmark, scale):
             )
         return results
 
-    results = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
+    results = sweep_all()
 
     for n_sw, result in results.items():
         rows = []

@@ -26,10 +26,7 @@ experiment:
 * ``trace`` — inspect a span dump (a ``spans.json`` written by
   ``repro run <name> --metrics-out DIR --trace-every N``):
   ``summarize`` (top-N slowest messages as ASCII waterfalls) and
-  ``critical-path`` (exclusive per-category latency attribution),
-* ``bench-report`` — tabulate the ``BENCH_*.json`` trajectory files
-  the benchmark suite writes, optionally failing on speedup-ratio
-  regressions against a committed baseline.
+  ``critical-path`` (exclusive per-category latency attribution).
 """
 
 from __future__ import annotations
@@ -53,21 +50,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """argparse type for ``--tolerance``: a fraction in [0, 1).
-
-    At 1 or above every baseline floor would be zero or negative and
-    the regression gate could never fail.
-    """
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
     return value
 
 
@@ -311,64 +293,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench_report(args) -> int:
-    """Tabulate ``BENCH_<group>.json`` trajectory files (written by the
-    benchmark suite's session fixture) and, with ``--baseline``, fail
-    on speedup-ratio regressions beyond ``--tolerance``."""
-    import json
-
-    bench_dir = Path(args.dir)
-    files = sorted(bench_dir.glob("BENCH_*.json"))
-    if not files:
-        print(f"no BENCH_*.json files under {bench_dir}", file=sys.stderr)
-        return 2
-
-    rows = []
-    ratios: dict[str, dict[str, float]] = {}
-    for path in files:
-        doc = json.loads(path.read_text())
-        group = doc.get("group", path.stem.removeprefix("BENCH_"))
-        for test, rec in sorted(doc.get("records", {}).items()):
-            mean = rec.get("mean_s")
-            ratio = rec.get("speedup_ratio")
-            rows.append((
-                group, test,
-                f"{mean * 1e3:.2f}" if mean is not None else "-",
-                f"{rec.get('wall_s', 0.0):.2f}",
-                f"{ratio:.2f}x" if ratio is not None else "-",
-            ))
-            if ratio is not None:
-                ratios.setdefault(group, {})[test] = ratio
-    print(format_table(
-        ["group", "benchmark", "mean (ms)", "wall (s)", "speedup"],
-        rows, title=f"benchmark trajectory ({len(files)} groups)",
-    ))
-
-    if not args.baseline:
-        return 0
-    baseline = json.loads(Path(args.baseline).read_text())
-    failures = []
-    for group, tests in baseline.items():
-        for test, expected in tests.items():
-            floor = expected * (1.0 - args.tolerance)
-            measured = ratios.get(group, {}).get(test)
-            if measured is None:
-                failures.append(f"{group}:{test}: no measured speedup ratio")
-            elif measured < floor:
-                failures.append(
-                    f"{group}:{test}: {measured:.2f}x is below"
-                    f" {floor:.2f}x (baseline {expected:.2f}x"
-                    f" - {args.tolerance:.0%} tolerance)"
-                )
-    if failures:
-        print("\nbench-report: REGRESSION", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print(f"\nbench-report: within {args.tolerance:.0%} of baseline")
-    return 0
-
-
 def _cmd_discover(args) -> int:
     from repro.core.builder import build_network
     from repro.gm.discovery import discover_network
@@ -467,18 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=_positive_int, default=3,
                    help="waterfalls printed by summarize")
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("bench-report", help="tabulate BENCH_*.json benchmark"
-                                            " trajectories; check a baseline")
-    p.add_argument("--dir", type=str, default=".",
-                   help="directory holding BENCH_*.json files")
-    p.add_argument("--baseline", type=str, default="",
-                   help="JSON file of group -> test -> expected speedup"
-                        " ratio; exit 1 on regression")
-    p.add_argument("--tolerance", type=_tolerance, default=0.25,
-                   help="allowed fractional regression vs baseline,"
-                        " in [0, 1)")
-    p.set_defaults(func=_cmd_bench_report)
 
     p = sub.add_parser("discover", help="run the mapper's exploration")
     p.add_argument("--topology", choices=("fig6", "random"),

@@ -332,22 +332,26 @@ class VcStudyExperiment(Experiment):
 
     def summarize(self, spec: ExperimentSpec, results: Sequence[Any]) -> Any:
         from repro.harness.vcstudy import (VcMechanismResult, VcStudyResult,
-                                           analyze_arm, study_routes,
-                                           vc_lanes_for)
+                                           study_routes)
+        from repro.routing.cdg import is_deadlock_free, lanes_required
 
-        # One all-pairs build per routing: the VC arm is sized from the
-        # minimal set, and each arm is analysed on its routing's set.
+        # One all-pairs build and one lane-demand walk per routing: the
+        # VC arm is sized from the minimal set's demand, and each arm's
+        # CDG verdict is taken on its routing's set with its own lanes.
         topo = self._topology(spec)
         routes = study_routes(topo)
-        arms = self._arms(spec, topo,
-                          vc_lanes=vc_lanes_for(topo, routes["minimal"]))
+        required = {routing: lanes_required(topo, routing_routes)
+                    for routing, routing_routes in routes.items()}
+        arms = self._arms(spec, topo, vc_lanes=required["minimal"])
         rows = []
         for arm in arms:
-            free, required = analyze_arm(topo, arm, routes[arm.routing])
             rows.append(VcMechanismResult(
                 mechanism=arm.mechanism, routing=arm.routing,
                 lanes=arm.lanes, lane_policy=arm.lane_policy,
-                deadlock_free=free, lanes_required=required,
+                deadlock_free=is_deadlock_free(
+                    topo, routes[arm.routing], n_lanes=arm.lanes,
+                    lane_policy=arm.lane_policy),
+                lanes_required=required[arm.routing],
                 points=[s for mech, s in results
                         if mech == arm.mechanism],
             ))

@@ -60,7 +60,6 @@ __all__ = [
     "VcLoadPoint",
     "VcMechanismResult",
     "VcStudyResult",
-    "analyze_arm",
     "measure_vc_point",
     "study_arms",
     "study_routes",
@@ -162,16 +161,12 @@ def study_routes(topo: Topology) -> dict[str, list]:
             for routing in ("updown", "itb", "minimal")}
 
 
-def vc_lanes_for(topo: Topology,
-                 minimal_routes: Optional[list] = None) -> int:
+def vc_lanes_for(topo: Topology) -> int:
     """Lane count the escape policy needs on this topology's minimal
-    routes — how the VC arm sizes its fabric.  ``minimal_routes`` are
-    those routes when already built (see :func:`study_routes`)."""
+    routes — how the VC arm sizes its fabric."""
     from repro.routing.cdg import lanes_required
 
-    if minimal_routes is None:
-        minimal_routes = _all_pairs_routes(topo, "minimal")
-    return lanes_required(topo, minimal_routes)
+    return lanes_required(topo, _all_pairs_routes(topo, "minimal"))
 
 
 def study_arms(topo: Topology, vc_lanes: Optional[int] = None,
@@ -186,24 +181,6 @@ def study_arms(topo: Topology, vc_lanes: Optional[int] = None,
         VcArm("vc", "minimal", vc_lanes, "escape"),
         VcArm("itb+vc", "itb", combined_lanes, "roundrobin"),
     ]
-
-
-def analyze_arm(topo: Topology, arm: VcArm,
-                routes: list) -> tuple[bool, int]:
-    """Static CDG verdict for one arm on its actual stamped routes.
-
-    ``routes`` is the all-pairs route set of the arm's routing (see
-    :func:`study_routes`).  Returns ``(deadlock_free,
-    lanes_required)`` where the second value is the escape-walk lane
-    demand of that route set (1 for descent-free routings).
-    """
-    from repro.routing.cdg import is_deadlock_free, lanes_required
-
-    return (
-        is_deadlock_free(topo, routes, n_lanes=arm.lanes,
-                         lane_policy=arm.lane_policy),
-        lanes_required(topo, routes),
-    )
 
 
 def measure_vc_point(

@@ -168,8 +168,8 @@ class Fabric:
         #: policy assigning a lane per channel at worm launch.
         self.n_lanes = lanes
         self.lane_policy = make_lane_policy(lane_policy)
-        #: Gate for the worm express lane (equivalence tests and the
-        #: flight microbenchmark force the stepped path through this).
+        #: Gate for the worm express lane (equivalence tests force the
+        #: stepped path through this).
         self.express_enabled = True
         self.express_stats = ExpressStats()
         #: Memoized fall-through per (in kind, out kind) — avoids the

@@ -147,13 +147,6 @@ class ItbRouter:
         """Indices of switches where the path must be split (violations)."""
         return self.orientation.violations(self.topo, list(switch_path))
 
-    def can_legalize(self, switch_path: Sequence[int]) -> bool:
-        """True when every violation switch carries at least one host."""
-        return all(
-            bool(self.topo.hosts_on(switch_path[i]))
-            for i in self.split_points(switch_path)
-        )
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 __all__ = ["Direction", "ItbRoute", "RouteError", "SourceRoute"]
 
@@ -161,8 +161,3 @@ class ItbRoute(_Route):
             f"<ItbRoute {self.src}->{self.dst} itbs={list(self.itb_hosts)}"
             f" switches={self.n_switches}>"
         )
-
-
-def chain_segments(segments: Sequence[SourceRoute]) -> ItbRoute:
-    """Build an :class:`ItbRoute` from already-computed segments."""
-    return ItbRoute(tuple(segments))

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.routing.itb import ItbRouter, round_robin_policy
+from repro.routing.itb import ItbRouter, first_host_policy, round_robin_policy
 from repro.routing.minimal import MinimalRouter
+from repro.routing.selectors import make_selector
 from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import (
@@ -45,6 +46,9 @@ def _topologies():
     yield "clos", clos(m=3, n=1, r=6)
     yield "fattree", fat_tree(k=4)
     yield "torus", torus_2d(3, 3)
+    # The adaptive-ITB study's 32-switch fabric: two hosts per switch,
+    # so an in-transit cut has more than one candidate host.
+    yield "adaptive", random_irregular(32, seed=11, hosts_per_switch=2)
 
 
 TOPOLOGIES = list(_topologies())
@@ -63,10 +67,14 @@ class TestBatchedEqualsPairwise:
 
     def test_itb(self, topo):
         orientation = build_orientation(topo)
-        batched = ItbRouter(topo, orientation).all_pairs()
         oracle = itb_oracle.all_pairs_pairwise(ItbRouter(topo, orientation))
-        assert list(batched) == list(oracle)
-        assert batched == oracle
+        # A selector with no congestion view places like the plain
+        # first-host policy, so the selector seam builds the same table.
+        for host_policy in (first_host_policy, make_selector("static")):
+            batched = ItbRouter(topo, orientation,
+                                host_policy=host_policy).all_pairs()
+            assert list(batched) == list(oracle)
+            assert batched == oracle
 
     def test_minimal_routes_from(self, topo):
         router = MinimalRouter(topo)

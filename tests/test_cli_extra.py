@@ -1,9 +1,7 @@
-"""Additional CLI coverage: apps subcommand, parser defaults, fig1,
-bench-report."""
+"""Additional CLI coverage: apps subcommand, parser defaults and
+registry-generated experiment commands."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -92,54 +90,3 @@ class TestRunCommand:
             main(["run", "fig7", "--jobs", "many"])
         assert exc_info.value.code == 2
 
-
-class TestBenchReport:
-    """``repro bench-report``: the speedup-ratio regression gate."""
-
-    @staticmethod
-    def _write(tmp_path, ratio):
-        """A BENCH file measuring ``ratio`` (None: no ratio recorded)
-        and a baseline expecting 2.0x; returns the baseline path."""
-        record = {"wall_s": 0.5}
-        if ratio is not None:
-            record["speedup_ratio"] = ratio
-        doc = {"format": "bench-trajectory/1", "group": "engine",
-               "full_scale": False, "records": {"test_bench_x": record}}
-        (tmp_path / "BENCH_engine.json").write_text(json.dumps(doc))
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"engine": {"test_bench_x": 2.0}}))
-        return str(path)
-
-    def _report(self, tmp_path, baseline, *extra):
-        return main(["bench-report", "--dir", str(tmp_path),
-                     "--baseline", baseline, *extra])
-
-    def test_within_tolerance_passes(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, ratio=1.6)
-        assert self._report(tmp_path, baseline) == 0
-        assert "within 25% of baseline" in capsys.readouterr().out
-
-    def test_below_floor_fails_naming_the_test(self, tmp_path, capsys):
-        baseline = self._write(tmp_path, ratio=1.4)
-        assert self._report(tmp_path, baseline) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err and "engine:test_bench_x" in err
-
-    def test_baseline_entry_without_measured_ratio_fails(self, tmp_path,
-                                                         capsys):
-        baseline = self._write(tmp_path, ratio=None)
-        assert self._report(tmp_path, baseline) == 1
-        assert "no measured speedup ratio" in capsys.readouterr().err
-
-    def test_no_bench_files_exits_2(self, tmp_path, capsys):
-        assert main(["bench-report", "--dir", str(tmp_path)]) == 2
-        assert "no BENCH_*.json files" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tolerance", ["1.5", "1", "-0.1", "nan"])
-    def test_tolerance_outside_unit_interval_exits_2(self, tmp_path,
-                                                      capsys, tolerance):
-        baseline = self._write(tmp_path, ratio=0.2)
-        with pytest.raises(SystemExit) as exc_info:
-            self._report(tmp_path, baseline, "--tolerance", tolerance)
-        assert exc_info.value.code == 2
-        assert "must be in [0, 1)" in capsys.readouterr().err

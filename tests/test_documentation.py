@@ -144,10 +144,5 @@ class TestProjectDocs:
         root = Path(__file__).resolve().parent.parent
         design = (root / "DESIGN.md").read_text()
         for bench in sorted((root / "benchmarks").glob("test_bench_*.py")):
-            if bench.name in ("test_bench_engine.py",
-                              "test_bench_tracing.py",
-                              "test_bench_routing.py",
-                              "test_bench_selection.py"):
-                continue  # performance guard, not a paper experiment
             assert bench.name in design, (
                 f"{bench.name} missing from DESIGN.md's experiment index")

@@ -213,15 +213,28 @@ class TestObservedExperiment:
         parallel = _observe(FIG8_SMALL, trace_every=1, jobs=4)
         assert texts(parallel) == texts(traced_fig8)
 
-    @pytest.mark.parametrize("spec", [FIG8_SMALL, FAULT_SMALL],
-                             ids=["fig8", "fault-campaign"])
-    def test_observing_changes_no_result(self, spec, tmp_path):
-        docs = []
-        for observe in (False, True):
-            path = tmp_path / f"observe-{observe}.json"
-            Runner().run(spec.replace(observe=observe), save=str(path))
-            docs.append(json.loads(path.read_text()))
-        plain, observed = docs
+    @pytest.mark.parametrize("spec,trace_every", [
+        pytest.param(FIG8_SMALL, 0, id="fig8"),
+        pytest.param(FIG8_SMALL, 1, id="fig8-traced"),
+        pytest.param(FAULT_SMALL, 0, id="fault-campaign"),
+        pytest.param(FAULT_SMALL, 1, id="fault-campaign-traced"),
+    ])
+    def test_observing_changes_no_result(self, spec, trace_every, tmp_path):
+        """Observing, and span-tracing every message, change nothing
+        in the saved document but the spec's ``observe`` field."""
+        plain_path = tmp_path / "plain.json"
+        observed_path = tmp_path / "observed.json"
+        Runner().run(spec, save=str(plain_path))
+        if trace_every:
+            configure(trace_every)
+        try:
+            report = Runner().run(spec.replace(observe=True),
+                                  save=str(observed_path))
+        finally:
+            disable()
+        assert bool(report.span_dumps) == bool(trace_every)
+        plain = json.loads(plain_path.read_text())
+        observed = json.loads(observed_path.read_text())
         name = spec.experiment
         assert observed["specs"][name].pop("observe") is True
         assert plain["specs"][name].pop("observe") is False

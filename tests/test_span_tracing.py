@@ -20,6 +20,7 @@ import pytest
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
+from repro.harness.workloads import drive_traffic
 from repro.network.faults import FaultEvent, FaultPlan, install_fault_plan
 from repro.obs.tracing import (
     SpanTracer,
@@ -216,6 +217,23 @@ class TestGmChain:
         assert net.fabric.tracer is None
         got = send_messages(net, n=2, until=20_000_000.0)
         assert sorted(got) == [0, 1]
+
+    def test_tracing_changes_no_latency(self):
+        """Open-loop traffic delivers every packet at the same instant
+        with no tracer, a tracer that samples nothing (which records no
+        span) and a tracer that samples every message."""
+        def latencies(tracer):
+            net = build(tracer=tracer)
+            return drive_traffic(net, rate_bytes_per_ns_per_host=0.06,
+                                 packet_size=512, duration_ns=150_000.0,
+                                 seed=7).latencies_ns
+
+        idle, full = SpanTracer(sample_every=0), SpanTracer()
+        plain = latencies(None)
+        assert plain
+        assert latencies(idle) == plain
+        assert latencies(full) == plain
+        assert idle.spans == [] and full.spans
 
     def test_itb_route_records_buffer_and_reinjection(self):
         """An ITB route's trace shows ejection, buffer residency, and

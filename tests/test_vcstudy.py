@@ -6,12 +6,12 @@ from repro.exp import Runner, get_experiment
 from repro.harness.persist import load_results, save_results
 from repro.harness.vcstudy import (
     VcStudyResult,
-    analyze_arm,
     study_arms,
     study_routes,
     study_topology,
     vc_lanes_for,
 )
+from repro.routing.cdg import is_deadlock_free
 
 
 def _quick_spec():
@@ -51,7 +51,9 @@ class TestArms:
         topo = study_topology(8, 5, 2)
         routes = study_routes(topo)
         for arm in study_arms(topo):
-            free, _need = analyze_arm(topo, arm, routes[arm.routing])
+            free = is_deadlock_free(topo, routes[arm.routing],
+                                    n_lanes=arm.lanes,
+                                    lane_policy=arm.lane_policy)
             assert free == (arm.mechanism != "minimal")
 
 
@@ -70,6 +72,24 @@ class TestRouteBuilds:
             return all_pairs_routes(topo, routing)
 
         monkeypatch.setattr(vcstudy, "_all_pairs_routes", counting)
+        Runner().run(_quick_spec())
+        assert len(calls) <= 4, calls
+
+    def test_lane_demand_walked_once_per_route_set(self, monkeypatch):
+        """``points`` walks the minimal set's lane demand to size the VC
+        arm, and ``summarize`` walks each of its three route sets once,
+        reusing the minimal value for the VC sizing and for both the
+        ``minimal`` and ``vc`` rows: 4 walks per run, not one per arm."""
+        import repro.routing.cdg as cdg
+
+        calls = []
+        lanes_required = cdg.lanes_required
+
+        def counting(topo, routes):
+            calls.append(len(routes))
+            return lanes_required(topo, routes)
+
+        monkeypatch.setattr(cdg, "lanes_required", counting)
         Runner().run(_quick_spec())
         assert len(calls) <= 4, calls
 

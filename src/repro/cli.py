@@ -10,7 +10,8 @@ experiment, and ``repro list`` shows what is registered.  Every
 * ``--save FILE`` — persist the spec-keyed result document,
 * ``--metrics-out DIR`` — observe every build (metrics registry,
   sampled gauge series, engine profile) and write each build's
-  telemetry files to ``DIR/p<point>-b<build>/``,
+  telemetry files to ``DIR/p<point>-b<build>/``; ``DIR`` must be
+  absent or empty (exit 2 otherwise),
 * ``--trace-every N`` — with ``--metrics-out``, span-trace every Nth
   message of every build (adds ``spans.json`` and the chrome trace's
   span rows).
@@ -64,19 +65,25 @@ def _make_experiment_command(exp: Experiment,
 
     def cmd(args) -> int:
         from repro.exp import Runner
+        from repro.exp.runner import check_metrics_out
         from repro.obs import tracing
 
-        if args.trace_every and not args.metrics_out:
+        metrics_out = args.metrics_out or None
+        if args.trace_every and not metrics_out:
             parser.error("--trace-every requires --metrics-out")
+        if metrics_out:
+            try:
+                check_metrics_out(metrics_out)
+            except ValueError as exc:
+                parser.error(str(exc))
         spec = exp.spec_from_args(args)
-        if args.metrics_out:
-            spec = spec.replace(observe=True)
         if args.trace_every:
             # Forked workers inherit the builder's tracer factory.
             tracing.configure(args.trace_every)
         try:
             report = Runner().run(spec, jobs=args.jobs,
-                                  save=args.save or None)
+                                  save=args.save or None,
+                                  metrics_out=metrics_out)
         finally:
             if args.trace_every:
                 tracing.disable()
@@ -90,17 +97,10 @@ def _make_experiment_command(exp: Experiment,
                   f" {express['stepped_hops']} stepped hops)")
         if report.saved_to:
             print(f"saved to {report.saved_to}")
-        if args.metrics_out:
-            n_builds = 0
-            for point, builds in enumerate(report.observations):
-                for build, files in enumerate(builds):
-                    out = Path(args.metrics_out) / f"p{point:03d}-b{build}"
-                    out.mkdir(parents=True, exist_ok=True)
-                    for name, text in files.items():
-                        (out / name).write_text(text)
-                    n_builds += 1
+        if metrics_out:
+            n_builds = sum(1 for _ in Path(metrics_out).iterdir())
             print(f"telemetry of {n_builds} builds written under"
-                  f" {args.metrics_out}")
+                  f" {metrics_out}")
         return 0
 
     return cmd
@@ -120,7 +120,8 @@ def _add_experiment_arguments(p: argparse.ArgumentParser,
                    help="persist the result document to this JSON file")
     p.add_argument("--metrics-out", type=str, default="",
                    help="observe every build and write its telemetry"
-                        " files to DIR/p<point>-b<build>/")
+                        " files to DIR/p<point>-b<build>/ (DIR must be"
+                        " absent or empty)")
     p.add_argument("--trace-every", type=_positive_int, default=None,
                    help="span-trace every Nth message (1 = all);"
                         " needs --metrics-out")

@@ -25,14 +25,15 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.builder import BuiltNetwork, build_network
 from repro.exp.registry import get_experiment
 from repro.exp.spec import ExperimentSpec
 
-__all__ = ["PointContext", "Runner", "RunReport", "fork_map",
-           "run_experiment"]
+__all__ = ["PointContext", "Runner", "RunReport", "check_metrics_out",
+           "fork_map", "run_experiment"]
 
 #: Gauge sampling interval of an observed build (simulated ns).
 SAMPLE_INTERVAL_NS = 1_000.0
@@ -47,7 +48,7 @@ class PointContext:
     network: a registry holding every NIC, fabric and channel metric,
     an engine :class:`~repro.obs.profiler.Profiler`, and a
     :class:`~repro.obs.sampler.Sampler` snapshotting the gauges every
-    :data:`SAMPLE_INTERVAL_NS`.  :meth:`observations` renders each
+    :data:`SAMPLE_INTERVAL_NS`.  :meth:`write_observations` writes each
     observed build's files once ``measure`` returns.
     """
 
@@ -92,26 +93,25 @@ class PointContext:
                 dumps.append(tracer.dump_json())
         return dumps
 
-    def observations(self) -> list[dict[str, str]]:
-        """The files of every observed build at this point, in build
-        order (file name → text, see
-        :func:`repro.obs.exporters.telemetry_files`).
+    def write_observations(self, metrics_out: str, point: int) -> None:
+        """Write the files of every observed build at this point to
+        ``metrics_out/p<point:03d>-b<build>/``, builds numbered in
+        build order (see :func:`repro.obs.exporters.write_telemetry`).
 
         Stops each build's sampler and profiler; a traced build's
         critical-path breakdowns are observed into its registry first.
         """
         from repro.obs.critical_path import breakdown_dump, observe_breakdowns
-        from repro.obs.exporters import telemetry_files
+        from repro.obs.exporters import write_telemetry
 
-        files = []
-        for fabric, telemetry in self._observed:
+        for build, (fabric, telemetry) in enumerate(self._observed):
             telemetry.stop()
             tracer = fabric.tracer
             if tracer is not None:
                 observe_breakdowns(breakdown_dump(tracer.spans),
                                    telemetry.registry)
-            files.append(telemetry_files(telemetry, tracer))
-        return files
+            write_telemetry(Path(metrics_out) / f"p{point:03d}-b{build}",
+                            telemetry, tracer)
 
 
 @dataclass
@@ -123,9 +123,6 @@ class RunReport:
     n_points: int
     jobs: int
     elapsed_s: float
-    #: Rendered telemetry files, by point then build (file name →
-    #: text); empty unless ``spec.observe``.
-    observations: list = field(default_factory=list)
     #: Worm express-lane counters summed across every point (execution
     #: metadata — never part of the persisted result document).
     express: dict = field(default_factory=dict)
@@ -156,16 +153,30 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any],
         return pool.map(fn, items)
 
 
-def _measure_point(payload: tuple[ExperimentSpec, int, dict]
-                   ) -> tuple[int, Any, list, dict, list]:
+def _measure_point(payload: tuple[ExperimentSpec, int, dict, Optional[str]]
+                   ) -> tuple[int, Any, dict, list]:
     """Evaluate one point (entry point for pool workers and the serial
-    path alike, so both execute the exact same code)."""
-    spec, index, point = payload
+    path alike, so both execute the exact same code).  An observed
+    point writes its builds' files here, in the worker that measured
+    it."""
+    spec, index, point, metrics_out = payload
     exp = get_experiment(spec.experiment)
     ctx = PointContext(spec)
     value = exp.measure(spec, point, ctx)
-    return (index, value, ctx.observations(), ctx.express_summary(),
-            ctx.span_dumps())
+    if metrics_out is not None:
+        ctx.write_observations(metrics_out, index)
+    return index, value, ctx.express_summary(), ctx.span_dumps()
+
+
+def check_metrics_out(metrics_out: str) -> None:
+    """Raise ``ValueError`` unless ``metrics_out`` is absent or an
+    empty directory: an earlier run's build directories would mix with
+    this run's."""
+    out = Path(metrics_out)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ValueError(
+            f"metrics_out {metrics_out!r} is not an empty directory; an"
+            " earlier run's files would mix with this run's")
 
 
 class Runner:
@@ -182,6 +193,7 @@ class Runner:
         jobs: Optional[int] = None,
         save: Optional[str] = None,
         on_point: Optional[Callable[[int, Any], None]] = None,
+        metrics_out: Optional[str] = None,
     ) -> RunReport:
         """Run one experiment end to end.
 
@@ -199,9 +211,16 @@ class Runner:
         on_point:
             Progress callback ``(index, value)``, invoked in point
             order (in the parent, after merge, when parallel).
+        metrics_out:
+            Optional directory; observes the run (sets
+            ``spec.observe``), and the worker that measures a point
+            writes each of its builds' telemetry files to
+            ``metrics_out/p<point:03d>-b<build>/``.
 
-        Raises ``ValueError`` when ``jobs < 1`` or the spec expands to
-        no points.
+        Raises ``ValueError`` when ``jobs < 1``, when the spec expands
+        to no points, when ``metrics_out`` exists and is not an empty
+        directory, or when ``spec.observe`` is set without a
+        ``metrics_out``.  Every check runs before the first point.
         """
         if isinstance(spec, str):
             spec = get_experiment(spec).default_spec()
@@ -209,6 +228,13 @@ class Runner:
         jobs = self.jobs if jobs is None else jobs
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if metrics_out is not None:
+            check_metrics_out(metrics_out)
+            spec = spec.replace(observe=True)
+        elif spec.observe:
+            raise ValueError(
+                "spec.observe needs a metrics_out directory for the"
+                " observed builds' files")
 
         t0 = time.perf_counter()
         points = exp.points(spec)
@@ -217,17 +243,17 @@ class Runner:
                 f"{spec.experiment!r} spec expands to no points (is a grid"
                 " field such as sizes or rates empty?); start from"
                 f" get_experiment({spec.experiment!r}).default_spec()")
-        payloads = [(spec, i, p) for i, p in enumerate(points)]
+        if metrics_out is not None:
+            Path(metrics_out).mkdir(parents=True, exist_ok=True)
+        payloads = [(spec, i, p, metrics_out) for i, p in enumerate(points)]
         outcomes = fork_map(_measure_point, payloads, jobs)
 
         # Deterministic merge: results ordered by point index.
         outcomes.sort(key=lambda item: item[0])
-        values = [value for _i, value, _obs, _ex, _sp in outcomes]
-        observations = [obs for _i, _value, obs, _ex, _sp in outcomes]
-        span_dumps = [d for _i, _v, _obs, _ex, dumps in outcomes
-                      for d in dumps]
+        values = [value for _i, value, _ex, _sp in outcomes]
+        span_dumps = [d for _i, _v, _ex, dumps in outcomes for d in dumps]
         express = {"hits": 0, "fallbacks": 0, "stepped_hops": 0}
-        for _i, _value, _obs, ex, _sp in outcomes:
+        for _i, _value, ex, _sp in outcomes:
             for key, v in ex.items():
                 express[key] = express.get(key, 0) + v
         if on_point is not None:
@@ -241,7 +267,6 @@ class Runner:
             n_points=len(points),
             jobs=jobs,
             elapsed_s=time.perf_counter() - t0,
-            observations=observations,
             express=express,
             span_dumps=span_dumps,
         )

@@ -57,10 +57,12 @@ class ExperimentSpec:
     root:
         Optional spanning-tree root override.
     observe:
-        Attach the full telemetry stack (registry, sampler, profiler)
-        to every built network and render each build's telemetry files
-        into ``RunReport.observations`` (``repro run <exp>
-        --metrics-out DIR``).  Observing changes no result.
+        Whether the run was observed: the full telemetry stack
+        (registry, sampler, profiler) attached to every built network,
+        each build's files written under a directory.  The runner sets
+        it exactly when ``Runner.run`` gets a ``metrics_out`` directory
+        (``repro run <exp> --metrics-out DIR``).  Observing changes no
+        result.
     params:
         Free-form experiment-specific extras (JSON-able values only).
     """

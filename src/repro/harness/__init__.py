@@ -55,7 +55,6 @@ from repro.harness.paper_claims import CLAIMS, Claim, claim
 from repro.harness.ascii_plot import line_plot
 from repro.harness.report import format_table, paper_vs_measured
 from repro.harness.persist import load_results, save_results
-from repro.harness.chrome_trace import chrome_trace_text, to_counter_events
 from repro.harness.root_study import (
     RootStudyResult,
     RootStudyRow,
@@ -84,7 +83,6 @@ __all__ = [
     "TimingSweepRow",
     "TrafficStats",
     "ValidationReport",
-    "chrome_trace_text",
     "claim",
     "drive_traffic",
     "fig6_paths",
@@ -110,7 +108,6 @@ __all__ = [
     "run_root_study",
     "run_throughput",
     "save_results",
-    "to_counter_events",
     "uniform_traffic",
     "validate_claims",
 ]

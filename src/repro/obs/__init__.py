@@ -9,10 +9,9 @@ The observability spine of the reproduction (see
   cadence, producing deterministic time series,
 * :mod:`repro.obs.profiler` — engine-level event and wall-clock
   accounting per component,
-* :mod:`repro.obs.exporters` — Prometheus text / JSON / CSV formats
-  (chrome-trace counter events live in
-  :mod:`repro.harness.chrome_trace`) and the per-build file set that
-  ``repro run <exp> --metrics-out DIR`` writes,
+* :mod:`repro.obs.exporters` — Prometheus text, JSON and chrome-trace
+  formats, and the per-build file set that ``repro run <exp>
+  --metrics-out DIR`` writes,
 * :mod:`repro.obs.attach` — one call wires ``NicStats``,
   ``FabricUsage``, buffer occupancy, and firmware events into a fresh
   registry,
@@ -32,9 +31,6 @@ from repro.obs.critical_path import (
 )
 from repro.obs.exporters import (
     parse_prometheus_text,
-    parse_series_csv,
-    series_to_csv,
-    telemetry_files,
     to_json,
     to_prometheus_text,
 )
@@ -90,10 +86,7 @@ __all__ = [
     "load_dump",
     "observe_breakdowns",
     "parse_prometheus_text",
-    "parse_series_csv",
-    "series_to_csv",
     "span_tree",
-    "telemetry_files",
     "to_json",
     "to_prometheus_text",
     "tree_signature",

@@ -1,6 +1,6 @@
-"""Exporters: Prometheus text, JSON, and CSV views of the telemetry.
+"""Exporters: the files an observed build writes, and their formats.
 
-One registry, several wire formats:
+One registry, three wire formats:
 
 * :func:`to_prometheus_text` — the Prometheus text exposition format
   (``# TYPE`` headers, ``{label="value"}`` sets, cumulative ``le=``
@@ -8,16 +8,14 @@ One registry, several wire formats:
   round-trip inverse used by the tests;
 * :func:`to_json` — one JSON document holding metrics, sampled time
   series, and profiler output;
-* :func:`series_to_csv` / :func:`parse_series_csv` — long-format CSV
-  (``time_ns,metric,component,value``) of the sampled series, for
-  spreadsheets and pandas;
-* :func:`telemetry_files` — all of the above for one observed build,
-  plus its chrome trace and span dump, as the file texts that
-  ``repro run <exp> --metrics-out DIR`` writes per build.
+* :func:`chrome_trace_text` — a Chrome Trace Event Format document:
+  one counter track per sampled series (:func:`to_counter_events`)
+  and, for a traced build, async span rows plus cross-component flow
+  arrows (:func:`spans_to_chrome_trace`).
 
-Chrome-trace counter ("C") events are produced by
-:func:`repro.harness.chrome_trace.to_counter_events`, next to the rest
-of the Trace-Event-Format code.
+:func:`write_telemetry` writes all of them for one observed build,
+plus its span dump when traced: the directory that ``repro run <exp>
+--metrics-out DIR`` gives every build.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import TYPE_CHECKING, Iterable, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.obs.registry import Histogram
 
@@ -33,17 +32,19 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.obs.attach import Telemetry
     from repro.obs.profiler import Profiler
     from repro.obs.registry import MetricsRegistry
-    from repro.obs.sampler import Sampler, TimeSeries
+    from repro.obs.sampler import TimeSeries
     from repro.obs.tracing import SpanTracer
 
 __all__ = [
+    "chrome_trace_text",
     "parse_prometheus_text",
-    "parse_series_csv",
     "sanitize_metric_name",
-    "series_to_csv",
-    "telemetry_files",
+    "spans_to_chrome_trace",
+    "to_counter_events",
     "to_json",
     "to_prometheus_text",
+    "track_name",
+    "write_telemetry",
 ]
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -51,6 +52,8 @@ _PROM_LINE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$")
 _PROM_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+#: The one Trace-Event "process" every row and track belongs to.
+_PID = "repro"
 
 
 def sanitize_metric_name(name: str) -> str:
@@ -88,6 +91,11 @@ def _fmt_value(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
+
+
+def _compact(doc) -> str:
+    # No indent, so json's C encoder renders the document.
+    return json.dumps(doc, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,92 +208,163 @@ def _profiler_to_dict(profiler: "Profiler") -> dict:
     }
 
 
-def to_json(
-    registry: Optional["MetricsRegistry"] = None,
-    sampler: Optional["Sampler"] = None,
-    profiler: Optional["Profiler"] = None,
-    extra: Optional[dict] = None,
-) -> dict:
-    """Bundle metrics + series + profile into one JSON-able dict."""
-    doc: dict = {"format": "repro-telemetry/1"}
-    if registry is not None:
-        doc["metrics"] = [_metric_to_dict(m) for m in registry.collect()]
+def to_json(telemetry: "Telemetry") -> dict:
+    """Bundle a build's metrics, sampled series (when it has a sampler)
+    and engine profile (when it has a profiler) into one JSON-able
+    dict."""
+    doc: dict = {
+        "format": "repro-telemetry/1",
+        "metrics": [_metric_to_dict(m) for m in telemetry.registry.collect()],
+    }
+    sampler = telemetry.sampler
     if sampler is not None:
         doc["series"] = [_series_to_dict(s) for s in sampler.all_series()]
         doc["sample_interval_ns"] = sampler.interval_ns
-    if profiler is not None:
-        doc["profile"] = _profiler_to_dict(profiler)
-    if extra:
-        doc.update(extra)
+    if telemetry.profiler is not None:
+        doc["profile"] = _profiler_to_dict(telemetry.profiler)
     return doc
 
 
 # ---------------------------------------------------------------------------
-# CSV (long format)
+# Chrome trace
 # ---------------------------------------------------------------------------
 
-def series_to_csv(series: Iterable["TimeSeries"]) -> str:
-    """Long-format CSV of sampled series.
+def track_name(name: str, labels: dict[str, str]) -> str:
+    """The counter track of one sampled series: the metric ``name``,
+    its ``component`` label, then every other label as ``key=value``.
 
-    Columns: ``time_ns,metric,component,value``.  Component strings
-    are quoted (they contain brackets/arrows, never quotes).
+    Every label takes part, so parallel cables and the lanes of one
+    channel, which share a ``component``, get a track each.
     """
-    lines = ["time_ns,metric,component,value"]
+    parts = [name]
+    if labels.get("component"):
+        parts.append(labels["component"])
+    parts.extend(f"{key}={value}" for key, value in sorted(labels.items())
+                 if key != "component")
+    return " ".join(parts)
+
+
+def to_counter_events(series: Iterable["TimeSeries"]) -> list[dict]:
+    """Convert sampled gauge series to counter ("C") phase events.
+
+    Each :class:`~repro.obs.sampler.TimeSeries` becomes one counter
+    track (:func:`track_name`).  A track gets an event at its first
+    sample and then only where the value changes: a Perfetto counter
+    holds its value until the next event, so the track draws the same
+    step function as the full series.
+    """
+    events: list[dict] = []
     for ts in series:
-        for p in ts.points:
-            lines.append(
-                f'{_fmt_value(p.t_ns)},{ts.name},"{ts.component}",'
-                f"{_fmt_value(p.value)}")
-    return "\n".join(lines) + "\n"
+        name = track_name(ts.name, ts.labels)
+        last = None
+        for point in ts.points:
+            if point.value == last:
+                continue
+            last = point.value
+            events.append({
+                "name": name,
+                "ph": "C",
+                "ts": point.t_ns / 1000.0,
+                "pid": _PID,
+                "args": {"value": point.value},
+            })
+    return events
 
 
-def parse_series_csv(text: str) -> list[tuple[float, str, str, float]]:
-    """Parse :func:`series_to_csv` output back to tuples.
+def spans_to_chrome_trace(spans: Iterable[Union[dict, object]]) -> list[dict]:
+    """Convert causal spans to async-span + flow Trace-Event dicts.
 
-    Returns ``(time_ns, metric, component, value)`` rows in file
-    order — the round-trip inverse used by the exporter tests.
+    Every closed :class:`~repro.obs.tracing.Span` (or its
+    ``to_dict()`` form) becomes an async begin/end pair (phases
+    ``"b"``/``"e"``) on its component's row, id'd
+    ``"<trace>.<span>"`` so nesting within one trace groups in
+    Perfetto.  Each parent→child edge *across components* additionally
+    emits a flow arrow (phases ``"s"``/``"f"`` with ``bp: "e"``) so the
+    hand-off from GM host to firmware to wire renders as connected
+    arrows across rows.
     """
-    rows: list[tuple[float, str, str, float]] = []
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != "time_ns,metric,component,value":
-        raise ValueError("not a repro series CSV (bad header)")
-    for line in lines[1:]:
-        t_str, metric, rest = line.split(",", 2)
-        component, value_str = rest.rsplit(",", 1)
-        rows.append((float(t_str), metric, component.strip('"'),
-                     float(value_str)))
-    return rows
+    recs = [s if isinstance(s, dict) else s.to_dict() for s in spans]
+    by_id = {r["span"]: r for r in recs}
+    events: list[dict] = []
+    flow_seq = 0
+    for r in recs:
+        if r["end"] is None:
+            continue
+        span_id = f"{r['trace']}.{r['span']}"
+        tid = r["component"] or "untracked"
+        common = {"cat": "span", "id": span_id, "pid": _PID, "tid": tid}
+        events.append({
+            "name": r["name"], "ph": "b", "ts": r["start"] / 1000.0,
+            "args": {"status": r["status"],
+                     **{k: repr(v) for k, v in r["attrs"].items()}},
+            **common,
+        })
+        events.append({
+            "name": r["name"], "ph": "e", "ts": r["end"] / 1000.0,
+            **common,
+        })
+        parent = by_id.get(r["parent"])
+        if (parent is None or parent["end"] is None
+                or parent["component"] == r["component"]):
+            continue
+        # Cross-component hand-off: a flow arrow from the parent's row
+        # to the child's start.
+        flow_seq += 1
+        flow_id = f"flow.{r['trace']}.{flow_seq}"
+        events.append({
+            "name": f"{parent['name']}->{r['name']}", "ph": "s",
+            "cat": "flow", "id": flow_id, "ts": r["start"] / 1000.0,
+            "pid": _PID, "tid": parent["component"] or "untracked",
+        })
+        events.append({
+            "name": f"{parent['name']}->{r['name']}", "ph": "f",
+            "bp": "e",
+            "cat": "flow", "id": flow_id, "ts": r["start"] / 1000.0,
+            "pid": _PID, "tid": tid,
+        })
+    return events
+
+
+def chrome_trace_text(
+    series: Iterable["TimeSeries"] = (),
+    spans: Iterable[Union[dict, object]] = (),
+) -> str:
+    """A ``chrome://tracing``- and Perfetto-loadable JSON document.
+
+    ``series`` (sampled telemetry time series) become counter tracks
+    via :func:`to_counter_events`; ``spans`` (causal spans from
+    :mod:`repro.obs.tracing`, or their dump dicts) become async spans
+    plus cross-component flow arrows via :func:`spans_to_chrome_trace`.
+    """
+    events = to_counter_events(series)
+    events.extend(spans_to_chrome_trace(spans))
+    return _compact({"traceEvents": events, "displayTimeUnit": "ns"})
 
 
 # ---------------------------------------------------------------------------
 # one observed build
 # ---------------------------------------------------------------------------
 
-def telemetry_files(telemetry: "Telemetry",
-                    tracer: Optional["SpanTracer"] = None) -> dict[str, str]:
-    """Every exporter's view of one observed build, as file name → text.
+def write_telemetry(directory: Union[str, Path], telemetry: "Telemetry",
+                    tracer: Optional["SpanTracer"] = None) -> None:
+    """Write one observed build's files into a new ``directory``.
 
     ``metrics.prom`` (Prometheus text), ``telemetry.json`` (metrics,
-    sampled series and engine profile), ``series.csv`` (the sampled
-    series, long format) and ``trace.json`` (a chrome trace: counter
-    tracks, plus async span tracks and flow arrows when ``tracer`` is
-    given); a traced build adds ``spans.json``, its canonical span
-    dump.  Every text but ``telemetry.json``, whose profile holds wall
-    times, is a pure function of the simulation.
+    sampled series and engine profile) and ``trace.json`` (a chrome
+    trace: counter tracks, plus span rows and flow arrows when
+    ``tracer`` is given); a traced build adds ``spans.json``, its
+    canonical span dump.  Every file but ``telemetry.json``, whose
+    profile holds wall times, is a pure function of the simulation.
+    Each file is rendered and written in turn, so at most one file's
+    text is held at a time.
     """
-    from repro.harness.chrome_trace import chrome_trace_text
-
-    sampler = telemetry.sampler
-    series = sampler.all_series() if sampler is not None else []
-    files = {
-        "metrics.prom": to_prometheus_text(telemetry.registry),
-        "telemetry.json": json.dumps(to_json(
-            registry=telemetry.registry, sampler=sampler,
-            profiler=telemetry.profiler), indent=1),
-        "series.csv": series_to_csv(series),
-        "trace.json": chrome_trace_text(
-            series, tracer.spans if tracer is not None else ()),
-    }
+    out = Path(directory)
+    out.mkdir(parents=True)
+    series = (telemetry.sampler.all_series()
+              if telemetry.sampler is not None else [])
+    (out / "metrics.prom").write_text(to_prometheus_text(telemetry.registry))
+    (out / "telemetry.json").write_text(_compact(to_json(telemetry)))
+    (out / "trace.json").write_text(chrome_trace_text(
+        series, tracer.spans if tracer is not None else ()))
     if tracer is not None:
-        files["spans.json"] = tracer.dump_json()
-    return files
+        (out / "spans.json").write_text(tracer.dump_json())

@@ -16,7 +16,7 @@ values are therefore fully reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.obs.registry import MetricsRegistry
@@ -81,11 +81,6 @@ class Sampler:
         registered after :meth:`start` are picked up automatically.
     interval_ns:
         Simulated time between snapshots.
-    select:
-        Optional predicate on a gauge; when given, only gauges for
-        which it returns True are sampled.
-    max_samples:
-        Optional cap on ticks (a runaway guard for open-ended runs).
 
     The sampler stops by itself at the first tick that finds the
     calendar otherwise empty, so it never keeps a drained simulation
@@ -98,16 +93,12 @@ class Sampler:
         sim: "Simulator",
         registry: "MetricsRegistry",
         interval_ns: float,
-        select: Optional[Callable[..., bool]] = None,
-        max_samples: Optional[int] = None,
     ) -> None:
         if interval_ns <= 0:
             raise ValueError(f"interval_ns must be positive: {interval_ns}")
         self.sim = sim
         self.registry = registry
         self.interval_ns = float(interval_ns)
-        self.select = select
-        self.max_samples = max_samples
         self.series: dict[tuple[str, tuple], TimeSeries] = {}
         self.n_ticks = 0
         self._running = False
@@ -142,19 +133,16 @@ class Sampler:
         # no gauge can change again, and a run(until=...) would
         # otherwise sample the drained model every interval up to its
         # horizon.
-        if ((self.max_samples is not None
-             and self.n_ticks >= self.max_samples) or not self.sim.pending):
+        if not self.sim.pending:
             self._running = False
             return
         self.sim.schedule(self.interval_ns, self._tick,
                           priority=SAMPLE_PRIORITY)
 
     def sample_now(self) -> None:
-        """Snapshot every (selected) gauge at the current sim time."""
+        """Snapshot every gauge at the current sim time."""
         t = self.sim.now
         for gauge in self.registry.gauges():
-            if self.select is not None and not self.select(gauge):
-                continue
             key = (gauge.name, gauge.label_key)
             ts = self.series.get(key)
             if ts is None:

@@ -10,9 +10,8 @@ import pytest
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.harness.chrome_trace import (chrome_trace_text,
-                                        spans_to_chrome_trace)
 from repro.harness.paths import fig6_paths
+from repro.obs.exporters import chrome_trace_text, spans_to_chrome_trace
 from repro.obs.tracing import SpanTracer
 from tests.conftest import send_traced
 

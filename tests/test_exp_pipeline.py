@@ -79,21 +79,46 @@ class TestRunner:
         Runner().run(SWEEP_SPEC, on_point=lambda i, v: seen.append(i))
         assert seen == [0, 1, 2, 3]
 
-    def test_observe_collects_metrics(self):
+    def test_observe_collects_metrics(self, tmp_path):
         from repro.obs.exporters import parse_prometheus_text
 
-        spec = SWEEP_SPEC.replace(rates=(0.02,), observe=True)
-        report = Runner().run(spec)
-        (point,) = report.observations
-        (files,) = point  # one build: one routing at one rate
-        metrics = parse_prometheus_text(files["metrics.prom"])
+        spec = SWEEP_SPEC.replace(rates=(0.02,))
+        (tmp_path / "obs").mkdir()  # an empty directory is accepted
+        report = Runner().run(spec, metrics_out=str(tmp_path / "obs"))
+        assert report.spec.observe
+        # One build: one routing at one rate.
+        assert [p.name for p in (tmp_path / "obs").iterdir()] == ["p000-b0"]
+        metrics = parse_prometheus_text(
+            (tmp_path / "obs" / "p000-b0" / "metrics.prom").read_text())
         sent = sum(v for (name, _labels), v in metrics.items()
                    if name == "nic_packets_sent")
         busy = sum(v for (name, _labels), v in metrics.items()
                    if name == "fabric_channel_busy_ns")
         assert sent > 0 and busy > 0
-        assert not Runner().run(SWEEP_SPEC.replace(rates=(0.02,))
-                                ).observations[0]
+        assert not Runner().run(spec).spec.observe
+
+    def test_observe_without_metrics_out_raises(self):
+        with pytest.raises(ValueError, match="metrics_out"):
+            Runner().run(SWEEP_SPEC.replace(observe=True))
+
+    @pytest.mark.parametrize("existing", ["build", "file"])
+    def test_used_metrics_out_raises_before_any_point(self, tmp_path,
+                                                      monkeypatch, existing):
+        """A directory that already holds files, or a file, is refused
+        before the first point is measured."""
+        import repro.exp.runner as runner
+
+        def no_points(_payload):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(runner, "_measure_point", no_points)
+        out = tmp_path / "obs"
+        if existing == "build":
+            (out / "p004-b0").mkdir(parents=True)
+        else:
+            out.write_text("")
+        with pytest.raises(ValueError, match="not an empty directory"):
+            Runner().run(SWEEP_SPEC, metrics_out=str(out))
 
 
 class TestParallelDeterminism:

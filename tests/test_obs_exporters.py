@@ -6,16 +6,13 @@ import json
 
 import pytest
 
-from repro.harness.chrome_trace import to_counter_events
 from repro.obs.attach import Telemetry
 from repro.obs.exporters import (
     parse_prometheus_text,
-    parse_series_csv,
     sanitize_metric_name,
-    series_to_csv,
-    telemetry_files,
-    to_json,
+    to_counter_events,
     to_prometheus_text,
+    write_telemetry,
 )
 from repro.obs.profiler import Profiler
 from repro.obs.registry import MetricsRegistry
@@ -82,15 +79,18 @@ class TestPrometheus:
 
 
 class TestJson:
-    def test_document_round_trips_through_json(self):
+    def test_document_round_trips_through_json(self, tmp_path):
         reg = _populated_registry()
         sampler = _sampled(reg)
         prof = Profiler()
         prof.events_by_component["send[a]"] = 5
         prof.events_total = 5
-        files = telemetry_files(
-            Telemetry(registry=reg, sampler=sampler, profiler=prof))
-        doc = json.loads(files["telemetry.json"])
+        write_telemetry(tmp_path / "build", Telemetry(
+            registry=reg, sampler=sampler, profiler=prof))
+        # No tracer: no span dump.
+        assert {f.name for f in (tmp_path / "build").iterdir()} == {
+            "metrics.prom", "telemetry.json", "trace.json"}
+        doc = json.loads((tmp_path / "build" / "telemetry.json").read_text())
         assert doc["format"] == "repro-telemetry/1"
         by_name = {(m["name"], m["labels"].get("component", "")): m
                    for m in doc["metrics"]}
@@ -102,29 +102,6 @@ class TestJson:
         assert series["nic_send_queue_depth"]["values"] == [3.0] * 4
         assert doc["profile"]["events_total"] == 5
 
-    def test_extra_fields_merge(self):
-        doc = to_json(extra={"workload": "fig8"})
-        assert doc["workload"] == "fig8"
-
-
-class TestCsv:
-    def test_round_trip(self):
-        reg = _populated_registry()
-        sampler = _sampled(reg)
-        text = series_to_csv(sampler.all_series())
-        rows = parse_series_csv(text)
-        depth = [(t, v) for t, name, comp, v in rows
-                 if name == "nic_send_queue_depth"]
-        assert depth == [(0.0, 3.0), (10.0, 3.0), (20.0, 3.0), (30.0, 3.0)]
-        comps = {comp for _t, name, comp, _v in rows
-                 if name == "nic_send_queue_depth"}
-        assert comps == {"nic[host1]"}
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_series_csv("nope\n1,2,3,4")
-
-
 class TestChromeCounters:
     def test_series_become_counter_events(self):
         reg = _populated_registry()
@@ -133,6 +110,37 @@ class TestChromeCounters:
         assert events and all(e["ph"] == "C" for e in events)
         depth = [e for e in events
                  if e["name"] == "nic_send_queue_depth nic[host1]"]
-        assert [e["args"]["value"] for e in depth] == [3.0] * 4
+        # Four samples of one value: one event, at the first sample.
+        assert [(e["ts"], e["args"]["value"]) for e in depth] == [(0.0, 3.0)]
+
+    def test_events_only_where_the_value_changes(self):
+        sim = Simulator()
+        reg = MetricsRegistry()
+        level = reg.gauge("level", component="nic[a]")
+        sampler = Sampler(sim, reg, interval_ns=10.0).start()
+        sim.schedule(15.0, lambda: level.set(2.0))
+        sim.schedule(35.0, lambda: level.set(0.0))
+        sim.schedule(40.0, lambda: None)  # model work to t=40
+        sim.run(until=40.0)
+        assert sampler.get("level").values() == [0.0, 0.0, 2.0, 2.0, 0.0]
+        events = to_counter_events(sampler.all_series())
         # Timestamps are in microseconds.
-        assert depth[1]["ts"] == pytest.approx(0.01)
+        assert [(e["ts"], e["args"]["value"]) for e in events] == [
+            (0.0, 0.0), (pytest.approx(0.02), 2.0), (pytest.approx(0.04), 0.0)]
+
+    def test_every_label_names_the_track(self):
+        """Parallel cables share a component; their link label keeps
+        their tracks apart."""
+        sim = Simulator()
+        reg = MetricsRegistry()
+        for link in ("3:0", "4:0"):
+            reg.gauge("fabric_channel_busy_ns", component="channel[1->2]",
+                      labels={"link": link})
+        reg.gauge("fabric_jain_fairness")
+        sampler = Sampler(sim, reg, interval_ns=10.0).start()
+        sim.run(until=0.0)
+        assert sorted(e["name"] for e in to_counter_events(
+            sampler.all_series())) == [
+            "fabric_channel_busy_ns channel[1->2] link=3:0",
+            "fabric_channel_busy_ns channel[1->2] link=4:0",
+            "fabric_jain_fairness"]

@@ -58,13 +58,6 @@ class TestSampling:
         sim.run(until=100.0)
         assert sampler.n_ticks == n
 
-    def test_max_samples_cap(self):
-        sim, _reg, _gauge, sampler = _ramp_setup(interval=10.0)
-        sampler.max_samples = 3
-        sim.run(until=500.0)
-        assert sampler.n_ticks == 3
-        assert not sampler.running
-
     def test_drained_calendar_stops_sampling(self):
         # The model's last event is at t=100; run(until=...) reaches far
         # past it, but the tick at t=100 finds nothing else on the
@@ -95,16 +88,6 @@ class TestSampling:
         assert late.times()[0] == pytest.approx(40.0)
         assert all(v == 9.0 for v in late.values())
         assert len(sampler.get("early")) == 7  # t=0..60
-
-    def test_select_predicate_filters(self):
-        sim = Simulator()
-        reg = MetricsRegistry()
-        reg.gauge("keep")
-        reg.gauge("drop")
-        sampler = Sampler(sim, reg, interval_ns=10.0,
-                          select=lambda g: g.name == "keep").start()
-        sim.run(until=20.0)
-        assert {ts.name for ts in sampler.all_series()} == {"keep"}
 
     def test_counters_are_not_sampled(self):
         sim = Simulator()

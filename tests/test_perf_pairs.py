@@ -1,8 +1,11 @@
-"""Tests for the verdict rule of ``tools/perf_pairs.py`` (docs/PERF.md)."""
+"""Tests for ``tools/perf_pairs.py`` (docs/PERF.md): the verdict rule
+and the environment of each ``run.py`` invocation."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,32 @@ def test_no_gain_when_the_change_fails_a_larger_share(metric, delta):
 def test_failed_share():
     assert perf_pairs.failed_share(0, 0) == 0.0
     assert perf_pairs.failed_share(3, 12) == 0.25
+
+
+def test_every_run_gets_a_fresh_empty_pycache_prefix(tmp_path, monkeypatch):
+    """Neither checkout's ``__pycache__`` state may move ``peak_rss_mb``:
+    each invocation compiles into its own empty directory outside both
+    checkouts."""
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((prefix, sorted(os.listdir(prefix)), cwd, env))
+        (prefix / "stale.pyc").write_text("")  # must not reach the next run
+        return subprocess.CompletedProcess(
+            cmd, 0, 'detail {"digest": "d"}\n{"correct": true}\n', "")
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    args = type("Args", (), {"seed": 7, "seconds": 0.0, "scale": 0.05})
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees + trees:
+        assert perf_pairs.run_once(tree, "paper-ladder", args) == (
+            {"correct": True}, "d")
+    prefixes = [prefix for prefix, _files, _cwd, _env in seen]
+    assert len(set(prefixes)) == 4
+    for prefix, files, cwd, env in seen:
+        assert files == []
+        assert not any(prefix.is_relative_to(tree) for tree in trees)
+        assert prefix != tmp_path / "shared"
+        assert env["PATH"] == os.environ["PATH"]

@@ -22,6 +22,10 @@ verdict:
   not every change run beats every parent run;
 * ``within bound``: otherwise.
 
+Every invocation gets its own fresh, empty ``PYTHONPYCACHEPREFIX``
+directory outside both checkouts, so both sides compile every module
+and neither checkout's ``__pycache__`` state moves ``peak_rss_mb``.
+
 It also prints each side's failed operations (``failed / attempted``
 summed over its runs), whether every run of both sides produced the
 same simulated-output digest, and every run's value of every metric in
@@ -34,9 +38,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN_PY = Path("benchmarks") / "perf" / "run.py"
@@ -50,8 +56,10 @@ def run_once(tree: Path, workload: str, args) -> tuple[dict, str]:
     cmd = [sys.executable, str(tree / RUN_PY), "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--scale", str(args.scale), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                          timeout=1800)
+    with tempfile.TemporaryDirectory(prefix="perf-pycache-") as pycache:
+        proc = subprocess.run(
+            cmd, cwd=tree, capture_output=True, text=True, timeout=1800,
+            env={**os.environ, "PYTHONPYCACHEPREFIX": pycache})
     lines = proc.stdout.splitlines()
     detail = next((json.loads(line[len("detail "):]) for line in lines
                    if line.startswith("detail ")), {})

@@ -7,9 +7,14 @@ factor, trend) still holds.
 
 Two sizes:
 
-* default — quick settings, seconds for the whole suite;
+* default — quick settings, seconds for the whole suite, which runs in
+  tier-1 (``testpaths`` in ``pyproject.toml``);
 * ``REPRO_FULL=1`` — paper-scale settings (100 iterations, the full
   gm_allsize ladder, 64-switch throughput runs).
+
+``benchmarks/perf`` is the perf ledger, not a paper-shape benchmark:
+tier-1 leaves it out, and ``pytest benchmarks/perf`` runs its
+self-test.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import os
 
 import pytest
+
+collect_ignore = ["perf"]
 
 
 def full_scale() -> bool:

@@ -9,13 +9,14 @@ under both schemes and reports delivery, flushes, and wire stalls.
 
 from __future__ import annotations
 
-from repro.harness.ablations import run_ablation_buffer_pool
+from repro.exp import Runner, get_experiment
 from repro.harness.report import format_table
 
 
 def test_bench_ablation_bufpool():
-    results = run_ablation_buffer_pool(n_senders=4, packets_per_sender=25,
-                                       packet_size=1024, pool_bytes=8 * 1024)
+    spec = get_experiment("ablation-bufpool").default_spec()
+    spec = spec.replace(params={**spec.params, "packets_per_sender": 25})
+    results = Runner().run(spec).result
 
     print()
     print(format_table(
@@ -24,13 +25,13 @@ def test_bench_ablation_bufpool():
         [
             (r.kind, r.delivered, r.offered, r.flushed,
              r.recv_blocked_ns / 1000.0, r.mean_latency_ns / 1000.0)
-            for r in results.values()
+            for r in results.results
         ],
         title=("EXP-A2 — in-transit buffering under burst load"
                " (fixed 2-buffer vs circular pool)"),
     ))
 
-    fixed, pool = results["fixed"], results["pool"]
+    fixed, pool = results.get("fixed"), results.get("pool")
     # Fixed buffers: lossless but stall the wire (wormhole backpressure).
     assert fixed.delivered == fixed.offered and fixed.flushed == 0
     assert fixed.recv_blocked_ns > 0

@@ -10,14 +10,14 @@ traffic keeping the re-injection output channel busy.
 
 from __future__ import annotations
 
-from repro.harness.ablations import run_ablation_load
+from repro.exp import Runner, get_experiment
 from repro.harness.report import format_table
 
 
 def test_bench_ablation_load(scale):
-    result = run_ablation_load(
-        size=256, iterations=max(10, scale["iterations"] // 2),
-        background_gap_ns=9_000.0)
+    spec = get_experiment("ablation-load").default_spec().replace(
+        iterations=max(10, scale["iterations"] // 2))
+    result = Runner().run(spec).result
 
     print()
     print(format_table(

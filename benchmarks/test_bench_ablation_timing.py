@@ -9,12 +9,15 @@ overhead each regime yields.
 
 from __future__ import annotations
 
-from repro.harness.ablations import run_ablation_timing
+from repro.exp import Runner, get_experiment
+from repro.harness.paper_claims import claim
 from repro.harness.report import format_table
 
 
 def test_bench_ablation_timing(scale):
-    rows = run_ablation_timing(size=64, iterations=scale["iterations"])
+    spec = get_experiment("ablation-timing").default_spec().replace(
+        iterations=scale["iterations"])
+    rows = Runner().run(spec).result.rows
 
     print()
     print(format_table(
@@ -29,6 +32,6 @@ def test_bench_ablation_timing(scale):
     # The [2,3] assumption reproduces their ~0.5 us figure; the
     # implementation regime reproduces this paper's ~1.3 us.
     assumed, paper, hw = rows
-    assert 400 <= assumed.overhead_ns <= 650
-    assert 1_100 <= paper.overhead_ns <= 1_600
+    assert claim("f8.prior_estimate_ns").holds(assumed.overhead_ns)
+    assert claim("f8.overhead_ns").holds(paper.overhead_ns)
     assert hw.overhead_ns < assumed.overhead_ns

@@ -8,19 +8,15 @@ vs ITB routing.
 
 from __future__ import annotations
 
-from repro.harness.apps import run_app_comparison
+from repro.exp import Runner, get_experiment
 from repro.harness.report import format_table
 
 
 def test_bench_apps(scale):
     n_switches = max(scale["throughput_switches"])
-    results = run_app_comparison(
-        n_switches=n_switches,
-        kernels=("all-to-all", "ring", "random-pairs"),
-        iterations=3,
-        message_size=1024,
-        hosts_per_switch=2,
-    )
+    spec = get_experiment("apps").default_spec().replace(
+        n_switches=n_switches)
+    results = Runner().run(spec).result.results
 
     by = {(r.kernel, r.routing): r for r in results}
     kernels = sorted({r.kernel for r in results})

@@ -7,12 +7,17 @@ summary, then asserts the shape.
 
 from __future__ import annotations
 
-from repro.harness.fig7 import run_fig7
+from repro.exp import Runner, get_experiment
+from repro.harness.paper_claims import claim
 from repro.harness.report import format_table, paper_vs_measured
 
 
 def test_bench_fig7(scale):
-    result = run_fig7(sizes=scale["sizes"], iterations=scale["iterations"])
+    spec = get_experiment("fig7").default_spec().replace(
+        sizes=scale["sizes"], iterations=scale["iterations"])
+    result = Runner().run(spec).result
+    mean_ok = claim("f7.mean_overhead_ns").holds(result.mean_overhead_ns)
+    max_ok = claim("f7.max_overhead_ns").holds(result.max_overhead_ns)
 
     rows = [
         (r.size, r.original_ns / 1000.0, r.modified_ns / 1000.0,
@@ -32,24 +37,24 @@ def test_bench_fig7(scale):
             ("avg per-packet overhead",
              "~125 ns",
              f"{result.mean_overhead_ns:.0f} ns",
-             100 <= result.mean_overhead_ns <= 160),
+             mean_ok),
             ("max per-packet overhead",
              "<= 300 ns",
              f"{result.max_overhead_ns:.0f} ns",
-             result.max_overhead_ns <= 300),
+             max_ok),
             ("relative overhead, short msgs",
              "~1 %",
              f"{result.relative_short_pct:.2f} %",
-             0.5 <= result.relative_short_pct <= 2.5),
+             claim("f7.relative_short_pct").holds(result.relative_short_pct)),
             ("relative overhead, long msgs",
              "~0.4 %",
              f"{result.relative_long_pct:.2f} %",
-             result.relative_long_pct <= 0.7),
+             claim("f7.relative_long_pct").holds(result.relative_long_pct)),
         ],
         title="EXP-F7 paper-vs-measured",
     ))
 
-    assert 100 <= result.mean_overhead_ns <= 160
-    assert result.max_overhead_ns <= 300
+    assert mean_ok
+    assert max_ok
     rels = [r.relative_pct for r in result.rows]
     assert rels == sorted(rels, reverse=True)

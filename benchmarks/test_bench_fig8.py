@@ -7,12 +7,17 @@ per the paper's protocol), and the paper-vs-measured summary.
 
 from __future__ import annotations
 
-from repro.harness.fig8 import run_fig8
+from repro.exp import Runner, get_experiment
+from repro.harness.paper_claims import claim
 from repro.harness.report import format_table, paper_vs_measured
 
 
 def test_bench_fig8(scale):
-    result = run_fig8(sizes=scale["sizes"], iterations=scale["iterations"])
+    spec = get_experiment("fig8").default_spec().replace(
+        sizes=scale["sizes"], iterations=scale["iterations"])
+    result = Runner().run(spec).result
+    overhead_ok = claim("f8.overhead_ns").holds(result.mean_overhead_ns)
+    prior_ns = claim("f8.prior_estimate_ns").value
 
     rows = [
         (r.size, r.ud_ns / 1000.0, r.ud_itb_ns / 1000.0,
@@ -34,24 +39,24 @@ def test_bench_fig8(scale):
             ("per-ITB overhead",
              "~1.3 us",
              f"{result.mean_overhead_ns / 1000:.2f} us",
-             1_100 <= result.mean_overhead_ns <= 1_600),
+             overhead_ok),
             ("vs [2,3] assumption",
-             "> 0.5 us",
+             f"> {prior_ns / 1000:g} us",
              f"{result.mean_overhead_ns / 1000:.2f} us",
-             result.mean_overhead_ns > 500),
+             result.mean_overhead_ns > prior_ns),
             ("relative overhead, short msgs",
              "~10 %",
              f"{result.relative_short_pct:.1f} %",
-             5 <= result.relative_short_pct <= 16),
+             claim("f8.relative_short_pct").holds(result.relative_short_pct)),
             ("relative overhead, long msgs",
              "~3 %",
              f"{result.relative_long_pct:.1f} %",
-             result.relative_long_pct <= 4.5),
+             claim("f8.relative_long_pct").holds(result.relative_long_pct)),
         ],
         title="EXP-F8 paper-vs-measured",
     ))
 
-    assert 1_100 <= result.mean_overhead_ns <= 1_600
+    assert overhead_ok
     rels = [r.relative_pct for r in result.rows]
     assert rels == sorted(rels, reverse=True)
     for r in result.rows:

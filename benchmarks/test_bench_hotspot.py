@@ -11,8 +11,8 @@ hotspot patterns for both routings.
 
 from __future__ import annotations
 
+from repro.exp import Runner, get_experiment
 from repro.harness.report import format_table
-from repro.harness.throughput import run_throughput
 from repro.harness.workloads import hotspot_traffic
 
 
@@ -21,20 +21,17 @@ def test_bench_hotspot(scale):
     rates = scale["throughput_rates"][-2:]
 
     def run_both():
-        results = {}
-        for label, factory in (
-            ("uniform", None),
-            ("hotspot", lambda hosts: hotspot_traffic(
-                hosts, hotspot=hosts[0], fraction=0.25)),
-        ):
-            results[label] = run_throughput(
-                n_switches=n_switches, packet_size=512, rates=rates,
-                duration_ns=scale["throughput_duration"],
-                warmup_ns=scale["throughput_duration"] / 5,
-                hosts_per_switch=2, topo_seed=5,
-                pattern_factory=factory,
-            )
-        return results
+        spec = get_experiment("throughput").default_spec().replace(
+            n_switches=n_switches, packet_size=512, rates=tuple(rates),
+            duration_ns=scale["throughput_duration"],
+            warmup_ns=scale["throughput_duration"] / 5,
+            hosts_per_switch=2, topo_seed=5,
+        )
+        hotspot = spec.replace(params={
+            "pattern_factory": lambda hosts: hotspot_traffic(
+                hosts, hotspot=hosts[0], fraction=0.25)})
+        return {"uniform": Runner().run(spec).result,
+                "hotspot": Runner().run(hotspot).result}
 
     results = run_both()
 

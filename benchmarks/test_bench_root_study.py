@@ -9,13 +9,13 @@ entirely, making route quality root-independent.
 
 from __future__ import annotations
 
+from repro.exp import Runner, get_experiment
 from repro.harness.report import format_table
-from repro.harness.root_study import run_root_study
 
 
 def test_bench_root_study():
-    rows = run_root_study(n_switches=16, topo_seed=33, hosts_per_switch=1,
-                          switch_links=3)
+    spec = get_experiment("root-study").default_spec()
+    rows = Runner().run(spec).result.rows
 
     print()
     print(format_table(

@@ -11,24 +11,22 @@ series under both routings and the peak ratio.
 
 from __future__ import annotations
 
+from repro.exp import Runner, get_experiment
 from repro.harness.report import format_table, paper_vs_measured
-from repro.harness.throughput import run_throughput
 
 
 def test_bench_throughput(scale):
     def sweep_all():
-        results = {}
-        for n_sw in scale["throughput_switches"]:
-            results[n_sw] = run_throughput(
-                n_switches=n_sw,
-                packet_size=512,
-                rates=scale["throughput_rates"],
-                duration_ns=scale["throughput_duration"],
-                warmup_ns=scale["throughput_duration"] / 5,
-                hosts_per_switch=2,
-                topo_seed=5,
-            )
-        return results
+        spec = get_experiment("throughput").default_spec().replace(
+            packet_size=512,
+            rates=tuple(scale["throughput_rates"]),
+            duration_ns=scale["throughput_duration"],
+            warmup_ns=scale["throughput_duration"] / 5,
+            hosts_per_switch=2,
+            topo_seed=5,
+        )
+        return {n_sw: Runner().run(spec.replace(n_switches=n_sw)).result
+                for n_sw in scale["throughput_switches"]}
 
     results = sweep_all()
 

@@ -22,20 +22,19 @@ Run:  python examples/buffer_pool_reliability.py
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.harness.ablations import run_ablation_buffer_pool
+from repro.exp import Runner, get_experiment
 from repro.harness.paths import fig6_paths
 from repro.harness.report import format_table
 
 
 def burst_comparison() -> None:
-    results = run_ablation_buffer_pool(
-        n_senders=4, packets_per_sender=25,
-        packet_size=1024, pool_bytes=8 * 1024,
-    )
+    spec = get_experiment("ablation-bufpool").default_spec()
+    spec = spec.replace(params={**spec.params, "packets_per_sender": 25})
+    results = Runner().run(spec).result.results
     print(format_table(
         ["scheme", "delivered", "offered", "flushed", "wire stall (us)"],
         [(r.kind, r.delivered, r.offered, r.flushed,
-          r.recv_blocked_ns / 1000.0) for r in results.values()],
+          r.recv_blocked_ns / 1000.0) for r in results],
         title="burst of in-transit packets through one transit host",
     ))
 

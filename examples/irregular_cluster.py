@@ -18,8 +18,8 @@ Run:  python examples/irregular_cluster.py [--switches N] [--full]
 import argparse
 import itertools
 
+from repro.exp import Runner, get_experiment
 from repro.harness.report import format_table
-from repro.harness.throughput import run_throughput
 from repro.routing.cdg import is_deadlock_free
 from repro.routing.itb import ItbRouter
 from repro.routing.minimal import MinimalRouter
@@ -76,11 +76,12 @@ def analyse_routes(n_switches: int, seed: int) -> None:
 def load_sweep(n_switches: int, full: bool, seed: int) -> None:
     rates = (0.01, 0.02, 0.04, 0.08, 0.12) if full else (0.02, 0.06, 0.12)
     duration = 300_000.0 if full else 150_000.0
-    result = run_throughput(
+    spec = get_experiment("throughput").default_spec().replace(
         n_switches=n_switches, packet_size=512, rates=rates,
         duration_ns=duration, warmup_ns=duration / 5,
         hosts_per_switch=2, topo_seed=seed,
     )
+    result = Runner().run(spec).result
     rows = []
     for routing in ("updown", "itb"):
         for p in result.series(routing):

@@ -14,8 +14,9 @@ gm_allsize size ladder); the default is a quick pass.
 
 import argparse
 
-from repro.harness.fig7 import DEFAULT_SIZES, run_fig7
-from repro.harness.fig8 import run_fig8
+from repro.exp import Runner, get_experiment
+from repro.harness.fig7 import DEFAULT_SIZES
+from repro.harness.paper_claims import claim
 from repro.harness.report import format_table, paper_vs_measured
 
 
@@ -34,7 +35,8 @@ def main() -> None:
     print("=" * 72)
     print("EXP-F7: overhead of the new GM/MCP code (paper Figure 7)")
     print("=" * 72)
-    f7 = run_fig7(sizes=sizes, iterations=iterations)
+    f7 = Runner().run(get_experiment("fig7").default_spec().replace(
+        sizes=sizes, iterations=iterations)).result
     print(format_table(
         ["size (B)", "original MCP (us)", "modified MCP (us)",
          "overhead (ns)", "relative (%)"],
@@ -44,9 +46,9 @@ def main() -> None:
     print()
     print(paper_vs_measured([
         ("average overhead", "~125 ns", f"{f7.mean_overhead_ns:.0f} ns",
-         100 <= f7.mean_overhead_ns <= 160),
+         claim("f7.mean_overhead_ns").holds(f7.mean_overhead_ns)),
         ("maximum overhead", "<= 300 ns", f"{f7.max_overhead_ns:.0f} ns",
-         f7.max_overhead_ns <= 300),
+         claim("f7.max_overhead_ns").holds(f7.max_overhead_ns)),
         ("relative, short -> long",
          "1 % -> 0.4 %",
          f"{f7.relative_short_pct:.2f} % -> {f7.relative_long_pct:.2f} %",
@@ -58,7 +60,8 @@ def main() -> None:
     print("=" * 72)
     print("EXP-F8: per-ITB overhead for in-transit packets (paper Figure 8)")
     print("=" * 72)
-    f8 = run_fig8(sizes=sizes, iterations=iterations)
+    f8 = Runner().run(get_experiment("fig8").default_spec().replace(
+        sizes=sizes, iterations=iterations)).result
     print(format_table(
         ["size (B)", "UD (us)", "UD-ITB (us)",
          "per-ITB overhead (us)", "relative (%)"],
@@ -69,7 +72,7 @@ def main() -> None:
     print(paper_vs_measured([
         ("per-ITB overhead", "~1.3 us",
          f"{f8.mean_overhead_ns / 1000:.2f} us",
-         1.1 <= f8.mean_overhead_ns / 1000 <= 1.6),
+         claim("f8.overhead_ns").holds(f8.mean_overhead_ns)),
         ("relative, short -> long",
          "10 % -> 3 %",
          f"{f8.relative_short_pct:.1f} % -> {f8.relative_long_pct:.1f} %",

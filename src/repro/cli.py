@@ -227,11 +227,8 @@ def _cmd_topo(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.harness.validation import validate_claims
 
-    report = validate_claims(
-        iterations=args.iterations,
-        include_throughput=args.throughput,
-        throughput_switches=64 if args.throughput else 0,
-    )
+    report = validate_claims(iterations=args.iterations,
+                             include_throughput=args.throughput)
     print(report.render())
     print(f"\n{report.n_checked} claims checked;"
           f" {'ALL HOLD' if report.all_hold else 'VIOLATIONS PRESENT'}")

@@ -185,8 +185,7 @@ def build_network(
         nic = Nic(sim, fabric, config.timings, host,
                   recv_buffers=buffers,
                   model_memory_contention=config.model_memory_contention)
-        kind = FirmwareKind(config.firmware_overrides.get(host, config.firmware))
-        fw = _FIRMWARES[kind](nic)
+        fw = _FIRMWARES[config.firmware](nic)
         nics[host] = nic
         firmware_by_host[host] = fw
         gm_hosts[host] = GmHost(sim, nic, seed=config.seed,

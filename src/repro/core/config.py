@@ -39,8 +39,7 @@ class NetworkConfig:
     Attributes
     ----------
     firmware:
-        Firmware on every NIC (per-host overrides via
-        ``firmware_overrides``; the paper runs the same MCP everywhere).
+        Firmware on every NIC (the paper runs the same MCP everywhere).
     routing:
         Mapper policy for the stamped route tables.
     timings:
@@ -70,7 +69,6 @@ class NetworkConfig:
     pool_bytes: int = 64 * 1024
     seed: int = 2001
     root: Optional[int] = None
-    firmware_overrides: dict = field(default_factory=dict)
     #: Model LANai SRAM arbitration explicitly (paper Figure 2's
     #: priority scheme).  Off by default: the calibrated firmware
     #: cycle counts in :class:`Timings` absorb average contention;

@@ -164,7 +164,15 @@ class Fig8Experiment(Experiment):
 
 @register_experiment("throughput", "EXP-M1 load sweep")
 class ThroughputExperiment(Experiment):
-    """Accepted throughput / latency vs offered load, UD vs ITB routing."""
+    """Accepted throughput / latency vs offered load, UD vs ITB routing.
+
+    Sweeps offered load under both routings on one random topology.
+    ``rates`` are offered loads in bytes/ns/host (link capacity is
+    0.16 bytes/ns); a fresh network is built per point, so points are
+    independent.  ``params["pattern_factory"](hosts)`` may supply a
+    non-uniform destination pattern (a callable in ``spec.params``
+    makes the spec unpersistable, and it fans out only if picklable).
+    """
 
     cli_options = (
         CliOption.make("--switches", type=int, default=16),
@@ -297,7 +305,7 @@ class VcStudyExperiment(Experiment):
 
         return study_arms(
             topo, vc_lanes=vc_lanes,
-            combined_lanes=int(spec.params.get("combined_lanes", 2)),
+            combined_lanes=int(spec.params["combined_lanes"]),
         )
 
     def points(self, spec: ExperimentSpec) -> list[dict]:
@@ -411,7 +419,8 @@ class VcStudyExperiment(Experiment):
 
 @register_experiment("apps", "EXP-M2 application kernels")
 class AppsExperiment(Experiment):
-    """Closed-loop kernel completion time, UD vs ITB routing."""
+    """Closed-loop kernel completion time, UD vs ITB routing: every
+    kernel runs under both routings on the same topology."""
 
     cli_options = (
         CliOption.make("--switches", type=int, default=16),
@@ -480,7 +489,12 @@ class AppsExperiment(Experiment):
 
 @register_experiment("root-study", "spanning-tree root sensitivity")
 class RootStudyExperiment(Experiment):
-    """Route quality under optimal vs anti-optimal BFS roots (EXP-A5)."""
+    """Route quality under optimal vs anti-optimal BFS roots (EXP-A5).
+
+    ``params["roots"]`` lists ``[label, which]`` placements; ``which``
+    is ``"choose"`` (the mapper's min-eccentricity policy), ``"worst"``
+    (max-eccentricity) or an integer switch id as a string.
+    """
 
     cli_options = (
         CliOption.make("--switches", type=int, default=16),
@@ -489,22 +503,16 @@ class RootStudyExperiment(Experiment):
         CliOption.make("--switch-links", type=int, default=3),
     )
 
-    DEFAULT_ROOTS = (("optimal", "choose"), ("anti-optimal", "worst"))
-
     def default_spec(self) -> ExperimentSpec:
         return ExperimentSpec(
             experiment="root-study", topo_seed=33,
-            params={"roots": [list(r) for r in self.DEFAULT_ROOTS]},
+            params={"roots": [["optimal", "choose"],
+                              ["anti-optimal", "worst"]]},
         )
-
-    def _roots(self, spec: ExperimentSpec) -> list[tuple[str, str]]:
-        roots = spec.params.get("roots") or [list(r)
-                                             for r in self.DEFAULT_ROOTS]
-        return [(label, which) for label, which in roots]
 
     def points(self, spec: ExperimentSpec) -> list[dict]:
         return [{"label": label, "which": which}
-                for label, which in self._roots(spec)]
+                for label, which in spec.params["roots"]]
 
     def measure(self, spec: ExperimentSpec, point: dict, ctx: Any) -> Any:
         from repro.harness.root_study import measure_root_point
@@ -547,7 +555,14 @@ class RootStudyExperiment(Experiment):
 
 @register_experiment("ablation-load", "marginal ITB overhead under load")
 class AblationLoadExperiment(Experiment):
-    """Per-ITB overhead with a busy re-injection port (EXP-A1)."""
+    """Per-ITB overhead with a busy re-injection port (EXP-A1).
+
+    Compares the unloaded Figure 8 overhead with the overhead measured
+    while the in-transit host sends a background packet every
+    ``params["background_gap_ns"]`` (see
+    :func:`~repro.harness.ablations.measure_loaded_half_rtt`), both at
+    message size ``sizes[0]``.
+    """
 
     cli_options = (
         CliOption.make("--size", type=int, default=256),
@@ -562,9 +577,6 @@ class AblationLoadExperiment(Experiment):
             params={"background_gap_ns": 9_000.0},
         )
 
-    def _size(self, spec: ExperimentSpec) -> int:
-        return spec.sizes[0] if spec.sizes else 256
-
     def points(self, spec: ExperimentSpec) -> list[dict]:
         return [{"mode": "unloaded"},
                 {"mode": "loaded", "route": "ud5"},
@@ -574,14 +586,13 @@ class AblationLoadExperiment(Experiment):
         from repro.harness.ablations import measure_loaded_half_rtt
         from repro.harness.fig8 import measure_fig8_point
 
-        size = self._size(spec)
+        size = spec.sizes[0]
         if point["mode"] == "unloaded":
             return measure_fig8_point(size, spec.iterations, spec.timings,
                                       spec.seed, build=ctx.build)
-        gap = spec.params.get("background_gap_ns", 9_000.0)
         return measure_loaded_half_rtt(
-            point["route"], size, spec.iterations, gap, spec.seed,
-            build=ctx.build,
+            point["route"], size, spec.iterations,
+            spec.params["background_gap_ns"], spec.seed, build=ctx.build,
         )
 
     def summarize(self, spec: ExperimentSpec, results: Sequence[Any]) -> Any:
@@ -589,7 +600,7 @@ class AblationLoadExperiment(Experiment):
 
         unloaded_row, ud, ud_itb = results
         return AblationLoadResult(
-            size=self._size(spec),
+            size=spec.sizes[0],
             overhead_unloaded_ns=unloaded_row.overhead_ns,
             overhead_loaded_ns=2.0 * (ud_itb - ud),
         )
@@ -621,7 +632,10 @@ class AblationLoadExperiment(Experiment):
 @register_experiment("ablation-bufpool",
                      "fixed buffers vs circular buffer pool")
 class AblationBufpoolExperiment(Experiment):
-    """Burst behaviour of the in-transit buffering schemes (EXP-A2)."""
+    """Burst behaviour of the in-transit buffering schemes (EXP-A2):
+    the same burst through fixed buffers, then through a pool (the
+    star topology is described at
+    :func:`~repro.harness.ablations.measure_buffer_scheme`)."""
 
     cli_options = (
         CliOption.make("--senders", type=int, default=4),
@@ -645,10 +659,10 @@ class AblationBufpoolExperiment(Experiment):
 
         return measure_buffer_scheme(
             kind=point["kind"],
-            n_senders=spec.params.get("n_senders", 4),
-            packets_per_sender=spec.params.get("packets_per_sender", 30),
+            n_senders=spec.params["n_senders"],
+            packets_per_sender=spec.params["packets_per_sender"],
             packet_size=spec.packet_size,
-            pool_bytes=spec.params.get("pool_bytes", 8 * 1024),
+            pool_bytes=spec.params["pool_bytes"],
             seed=spec.seed,
             build=ctx.build,
         )
@@ -689,40 +703,32 @@ class AblationTimingExperiment(Experiment):
     )
 
     def default_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            experiment="ablation-timing", sizes=(64,), iterations=30,
-            params={"regimes": [list(r) for r in self._default_regimes()]},
-        )
-
-    @staticmethod
-    def _default_regimes() -> tuple[tuple[str, int, int], ...]:
         from repro.core.timings import Timings
 
         base = Timings()
-        return (
-            ("simulation-assumption [2,3]", 18, 13),
-            ("gm-implementation (paper)", base.itb_early_recv_cycles,
-             base.itb_program_dma_cycles),
-            ("hardware-assisted", 6, 6),
+        return ExperimentSpec(
+            experiment="ablation-timing", sizes=(64,), iterations=30,
+            params={"regimes": [
+                # [2,3] assumed 275 ns detect + 200 ns DMA program.
+                ["simulation-assumption [2,3]", 18, 13],
+                # This paper's measured implementation (~1.3 us).
+                ["gm-implementation (paper)", base.itb_early_recv_cycles,
+                 base.itb_program_dma_cycles],
+                # A hypothetical hardware-assisted detection.
+                ["hardware-assisted", 6, 6],
+            ]},
         )
 
-    def _regimes(self, spec: ExperimentSpec) -> list[tuple[str, int, int]]:
-        regimes = (spec.params.get("regimes")
-                   or [list(r) for r in self._default_regimes()])
-        return [(label, int(early), int(prog))
-                for label, early, prog in regimes]
-
     def points(self, spec: ExperimentSpec) -> list[dict]:
-        return [{"label": label, "early": early, "prog": prog}
-                for label, early, prog in self._regimes(spec)]
+        return [{"label": label, "early": int(early), "prog": int(prog)}
+                for label, early, prog in spec.params["regimes"]]
 
     def measure(self, spec: ExperimentSpec, point: dict, ctx: Any) -> Any:
         from repro.harness.ablations import measure_timing_regime
 
-        size = spec.sizes[0] if spec.sizes else 64
         return measure_timing_regime(
             label=point["label"], early=point["early"], prog=point["prog"],
-            size=size, iterations=spec.iterations, seed=spec.seed,
+            size=spec.sizes[0], iterations=spec.iterations, seed=spec.seed,
             build=ctx.build,
         )
 
@@ -914,8 +920,8 @@ class ScaleStudyExperiment(Experiment):
             target=point["target"],
             routing=point["routing"],
             topo_seed=spec.topo_seed,
-            rate=float(spec.params.get("rate", 0.08)),
-            dynamic_max=int(spec.params.get("dynamic_max", 64)),
+            rate=float(spec.params["rate"]),
+            dynamic_max=int(spec.params["dynamic_max"]),
             packet_size=spec.packet_size,
             duration_ns=spec.duration_ns,
             warmup_ns=spec.warmup_ns,

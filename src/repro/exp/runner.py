@@ -26,14 +26,14 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.builder import BuiltNetwork, build_network
 from repro.exp.registry import get_experiment
 from repro.exp.spec import ExperimentSpec
 
 __all__ = ["PointContext", "Runner", "RunReport", "check_metrics_out",
-           "fork_map", "run_experiment"]
+           "fork_map"]
 
 #: Gauge sampling interval of an observed build (simulated ns).
 SAMPLE_INTERVAL_NS = 1_000.0
@@ -180,19 +180,15 @@ def check_metrics_out(metrics_out: str) -> None:
 
 
 class Runner:
-    """Executes :class:`ExperimentSpec`\\ s through the shared pipeline."""
-
-    def __init__(self, jobs: int = 1) -> None:
-        self.jobs = jobs
-
-    # ------------------------------------------------------------------
+    """Executes :class:`ExperimentSpec`\\ s through the shared pipeline:
+    the one way to run a registered experiment.  Build the spec from
+    ``get_experiment(name).default_spec().replace(...)``."""
 
     def run(
         self,
-        spec: Union[str, ExperimentSpec],
-        jobs: Optional[int] = None,
+        spec: ExperimentSpec,
+        jobs: int = 1,
         save: Optional[str] = None,
-        on_point: Optional[Callable[[int, Any], None]] = None,
         metrics_out: Optional[str] = None,
     ) -> RunReport:
         """Run one experiment end to end.
@@ -200,7 +196,7 @@ class Runner:
         Parameters
         ----------
         spec:
-            A spec, or a registered experiment name (its default spec).
+            The spec to run.
         jobs:
             Process-pool width; ``1`` (default) runs serially.  Results
             are independent of this value.
@@ -208,9 +204,6 @@ class Runner:
             Optional path; the summarized result is persisted as a
             spec-keyed JSON document via
             :func:`repro.harness.persist.save_results`.
-        on_point:
-            Progress callback ``(index, value)``, invoked in point
-            order (in the parent, after merge, when parallel).
         metrics_out:
             Optional directory; observes the run (sets
             ``spec.observe``), and the worker that measures a point
@@ -218,14 +211,12 @@ class Runner:
             ``metrics_out/p<point:03d>-b<build>/``.
 
         Raises ``ValueError`` when ``jobs < 1``, when the spec expands
-        to no points, when ``metrics_out`` exists and is not an empty
-        directory, or when ``spec.observe`` is set without a
-        ``metrics_out``.  Every check runs before the first point.
+        to no points or lacks a ``params`` key its experiment reads,
+        when ``metrics_out`` exists and is not an empty directory, or
+        when ``spec.observe`` is set without a ``metrics_out``.  Every
+        check runs before the first point.
         """
-        if isinstance(spec, str):
-            spec = get_experiment(spec).default_spec()
         exp = get_experiment(spec.experiment)
-        jobs = self.jobs if jobs is None else jobs
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if metrics_out is not None:
@@ -237,7 +228,13 @@ class Runner:
                 " observed builds' files")
 
         t0 = time.perf_counter()
-        points = exp.points(spec)
+        try:
+            points = exp.points(spec)
+        except KeyError as exc:
+            raise ValueError(
+                f"{spec.experiment!r} spec lacks params key {exc}; start"
+                f" from get_experiment({spec.experiment!r}).default_spec()"
+            ) from exc
         if not points:
             raise ValueError(
                 f"{spec.experiment!r} spec expands to no points (is a grid"
@@ -256,9 +253,6 @@ class Runner:
         for _i, _value, ex, _sp in outcomes:
             for key, v in ex.items():
                 express[key] = express.get(key, 0) + v
-        if on_point is not None:
-            for i, value in enumerate(values):
-                on_point(i, value)
 
         result = exp.summarize(spec, values)
         report = RunReport(
@@ -278,11 +272,3 @@ class Runner:
             report.saved_to = str(path)
         return report
 
-
-def run_experiment(
-    spec: Union[str, ExperimentSpec],
-    jobs: int = 1,
-    save: Optional[str] = None,
-) -> Any:
-    """Convenience wrapper: run a spec, return just the result object."""
-    return Runner().run(spec, jobs=jobs, save=save).result

@@ -13,25 +13,27 @@ One module per experiment (see DESIGN.md's experiment index):
 * :mod:`repro.harness.ablations` — EXP-A1/A2/A3: design-choice
   ablations called out in DESIGN.md.
 
-All runners return plain dataclasses; :mod:`repro.harness.report`
-renders them as ASCII tables with paper-vs-measured columns.
+Harness modules measure: each offers ``measure_*`` functions for one
+independent point and the result dataclasses an experiment returns.
+Only the runner runs experiments: build a spec with
+``get_experiment(name).default_spec().replace(...)`` and pass it to
+``Runner().run`` (:mod:`repro.exp`).  :mod:`repro.harness.report`
+renders results as ASCII tables with paper-vs-measured columns.
 """
 
 from repro.harness.paths import Fig6Paths, fig6_paths
-from repro.harness.fig7 import Fig7Result, measure_fig7_point, run_fig7
-from repro.harness.fig8 import Fig8Result, measure_fig8_point, run_fig8
+from repro.harness.fig7 import Fig7Result, measure_fig7_point
+from repro.harness.fig8 import Fig8Result, measure_fig8_point
 from repro.harness.fig1 import Fig1Result, run_fig1
 from repro.harness.throughput import (
     ThroughputPoint,
     ThroughputResult,
     measure_load_point,
-    run_throughput,
 )
 from repro.harness.apps import (
     AppResult,
     AppsResult,
     measure_app_point,
-    run_app_comparison,
     run_kernel,
 )
 from repro.harness.ablations import (
@@ -40,9 +42,6 @@ from repro.harness.ablations import (
     BufferPoolStudyResult,
     TimingSweepResult,
     TimingSweepRow,
-    run_ablation_buffer_pool,
-    run_ablation_load,
-    run_ablation_timing,
 )
 from repro.harness.workloads import (
     TrafficStats,
@@ -59,7 +58,6 @@ from repro.harness.root_study import (
     RootStudyResult,
     RootStudyRow,
     measure_root_point,
-    run_root_study,
 )
 from repro.harness.validation import ValidationReport, validate_claims
 
@@ -97,16 +95,8 @@ __all__ = [
     "measure_root_point",
     "paper_vs_measured",
     "permutation_traffic",
-    "run_ablation_buffer_pool",
-    "run_ablation_load",
-    "run_ablation_timing",
-    "run_app_comparison",
     "run_fig1",
-    "run_fig7",
-    "run_fig8",
     "run_kernel",
-    "run_root_study",
-    "run_throughput",
     "save_results",
     "uniform_traffic",
     "validate_claims",

@@ -22,7 +22,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
@@ -39,9 +39,6 @@ __all__ = [
     "measure_buffer_scheme",
     "measure_loaded_half_rtt",
     "measure_timing_regime",
-    "run_ablation_buffer_pool",
-    "run_ablation_load",
-    "run_ablation_timing",
 ]
 
 
@@ -75,7 +72,16 @@ def measure_loaded_half_rtt(
     build: Callable = build_network,
 ) -> float:
     """Half-RTT over one Figure 8 path while the in-transit host keeps
-    the re-injection output channel busy with background traffic."""
+    the re-injection output channel busy with background traffic.
+
+    Background: the in-transit host itself streams packets to host2
+    over the same output channel the re-injection needs, so in-transit
+    packets frequently find the send engine busy (the ``ITB packet
+    pending`` path) — and, symmetrically, the reference up*/down* path
+    contends on the same inter-switch channel.  Under the paper's
+    argument the *difference* between the ITB and UD latencies shrinks
+    relative to the unloaded case.
+    """
     from repro.sim.engine import Timeout
 
     t = Timings().with_overrides(host_jitter_sigma_ns=0.0)
@@ -99,35 +105,6 @@ def measure_loaded_half_rtt(
                         iterations=iterations,
                         route_ab=chosen, route_ba=paths.rev2)
     return res.mean_ns
-
-
-def run_ablation_load(
-    size: int = 256,
-    iterations: int = 40,
-    background_gap_ns: float = 9_000.0,
-    seed: int = 2001,
-) -> AblationLoadResult:
-    """Measure the marginal per-ITB overhead when the re-injection
-    output port is kept busy by background traffic (through the
-    unified experiment pipeline).
-
-    Background: the in-transit host itself streams packets to host2
-    over the same output channel the re-injection needs, so in-transit
-    packets frequently find the send engine busy (the ``ITB packet
-    pending`` path) — and, symmetrically, the reference up*/down* path
-    contends on the same inter-switch channel.  Under the paper's
-    argument the *difference* between the ITB and UD latencies shrinks
-    relative to the unloaded case.
-    """
-    from repro.exp import ExperimentSpec, run_experiment
-
-    return run_experiment(ExperimentSpec(
-        experiment="ablation-load",
-        sizes=(size,),
-        iterations=iterations,
-        seed=seed,
-        params={"background_gap_ns": background_gap_ns},
-    ))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +141,6 @@ class BufferPoolStudyResult:
                 return r
         raise KeyError(f"no result for scheme {kind!r}")
 
-    def as_dict(self) -> dict[str, BufferPoolResult]:
-        """The results keyed by scheme kind (the legacy return shape)."""
-        return {r.kind: r for r in self.results}
-
 
 def measure_buffer_scheme(
     kind: str,
@@ -178,7 +151,16 @@ def measure_buffer_scheme(
     seed: int,
     build: Callable = build_network,
 ) -> BufferPoolResult:
-    """Blast the in-transit burst through one buffering scheme."""
+    """Blast the in-transit burst through one buffering scheme.
+
+    Topology: a star of ``n_senders`` hosts on switch A, all sending
+    through an in-transit host on switch B to targets on switch C —
+    every packet takes one ITB, so the in-transit buffers are the
+    bottleneck.  Fixed buffers stall the wire; a small pool flushes
+    (packets lost without reliability — losses are the point: they
+    are what GM's retransmission exists to recover, tested in
+    ``tests/test_gm_host.py::TestReliability``).
+    """
     from repro.routing.routes import ItbRoute, SourceRoute
     from repro.sim.engine import Timeout
     from repro.topology.graph import PortKind, Topology
@@ -263,39 +245,6 @@ def measure_buffer_scheme(
     )
 
 
-def run_ablation_buffer_pool(
-    n_senders: int = 4,
-    packets_per_sender: int = 30,
-    packet_size: int = 1024,
-    pool_bytes: int = 8 * 1024,
-    seed: int = 2001,
-) -> dict[str, BufferPoolResult]:
-    """Blast in-transit traffic through one host under both schemes
-    (through the unified experiment pipeline).
-
-    Topology: a star of ``n_senders`` hosts on switch A, all sending
-    through an in-transit host on switch B to targets on switch C —
-    every packet takes one ITB, so the in-transit buffers are the
-    bottleneck.  Fixed buffers stall the wire; a small pool flushes
-    (packets lost without reliability — losses are the point: they
-    are what GM's retransmission exists to recover, tested in
-    tests/test_gm_reliability.py).
-    """
-    from repro.exp import ExperimentSpec, run_experiment
-
-    result: BufferPoolStudyResult = run_experiment(ExperimentSpec(
-        experiment="ablation-bufpool",
-        packet_size=packet_size,
-        seed=seed,
-        params={
-            "n_senders": n_senders,
-            "packets_per_sender": packets_per_sender,
-            "pool_bytes": pool_bytes,
-        },
-    ))
-    return result.as_dict()
-
-
 # ---------------------------------------------------------------------------
 # A3: detection/programming cost sweep
 # ---------------------------------------------------------------------------
@@ -340,35 +289,3 @@ def measure_timing_regime(
         overhead_ns=row.overhead_ns,
         firmware_cost_ns=t.itb_forward_ns,
     )
-
-
-def run_ablation_timing(
-    size: int = 64,
-    iterations: int = 30,
-    seed: int = 2001,
-    regimes: Optional[Sequence[tuple[str, int, int]]] = None,
-) -> list[TimingSweepRow]:
-    """Sweep the ITB firmware costs from the [2,3] assumption to the
-    measured implementation and beyond (through the unified
-    experiment pipeline)."""
-    from repro.exp import ExperimentSpec, run_experiment
-
-    base = Timings()
-    if regimes is None:
-        regimes = (
-            # [2,3] assumed 275 ns detect + 200 ns DMA program.
-            ("simulation-assumption [2,3]", 18, 13),
-            # This paper's measured implementation (~1.3 us).
-            ("gm-implementation (paper)", base.itb_early_recv_cycles,
-             base.itb_program_dma_cycles),
-            # A hypothetical hardware-assisted detection.
-            ("hardware-assisted", 6, 6),
-        )
-    result: TimingSweepResult = run_experiment(ExperimentSpec(
-        experiment="ablation-timing",
-        sizes=(size,),
-        iterations=iterations,
-        seed=seed,
-        params={"regimes": [list(r) for r in regimes]},
-    ))
-    return result.rows

@@ -36,8 +36,7 @@ from repro.harness.throughput import build_load_network
 from repro.sim.engine import Timeout
 from repro.topology.generators import random_irregular
 
-__all__ = ["AppResult", "AppsResult", "measure_app_point",
-           "run_app_comparison", "run_kernel"]
+__all__ = ["AppResult", "AppsResult", "measure_app_point", "run_kernel"]
 
 
 @dataclass
@@ -181,29 +180,3 @@ def measure_app_point(
     net = build_load_network(topo, routing, build=build)
     return run_kernel(net, kernel, iterations=iterations,
                       message_size=message_size, seed=seed)
-
-
-def run_app_comparison(
-    n_switches: int = 16,
-    kernels: Sequence[str] = ("all-to-all", "ring", "random-pairs"),
-    iterations: int = 3,
-    message_size: int = 1024,
-    hosts_per_switch: int = 2,
-    topo_seed: int = 11,
-    seed: int = 13,
-) -> list[AppResult]:
-    """Run every kernel under both routings on the same topology
-    (through the unified experiment pipeline)."""
-    from repro.exp import ExperimentSpec, run_experiment
-
-    result: AppsResult = run_experiment(ExperimentSpec(
-        experiment="apps",
-        n_switches=n_switches,
-        kernels=tuple(kernels),
-        iterations=iterations,
-        message_size=message_size,
-        hosts_per_switch=hosts_per_switch,
-        topo_seed=topo_seed,
-        seed=seed,
-    ))
-    return result.results

@@ -14,7 +14,7 @@ Paper results to match in shape: average delta ~125 ns, never above
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
 from repro.harness.paths import fig6_paths
 
-__all__ = ["Fig7Result", "Fig7Row", "measure_fig7_point", "run_fig7",
-           "DEFAULT_SIZES"]
+__all__ = ["Fig7Result", "Fig7Row", "measure_fig7_point", "DEFAULT_SIZES"]
 
 #: gm_allsize-style size ladder: powers of two up to the GM MTU.
 DEFAULT_SIZES: tuple[int, ...] = (
@@ -105,18 +104,3 @@ def measure_fig7_point(size: int, iterations: int,
     orig = _measure("original", size, iterations, timings, seed, build)
     mod = _measure("itb", size, iterations, timings, seed, build)
     return Fig7Row(size=size, original_ns=orig, modified_ns=mod)
-
-
-def run_fig7(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    iterations: int = 100,
-    timings: Optional[Timings] = None,
-    seed: int = 2001,
-) -> Fig7Result:
-    """Regenerate Figure 7 (through the unified experiment pipeline)."""
-    from repro.exp import ExperimentSpec, run_experiment
-
-    return run_experiment(ExperimentSpec(
-        experiment="fig7", sizes=tuple(sizes), iterations=iterations,
-        timings=timings, seed=seed,
-    ))

@@ -16,17 +16,16 @@ simulation estimate of ~0.5 us [2,3].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.harness.fig7 import DEFAULT_SIZES
 from repro.harness.paths import fig6_paths
 
-__all__ = ["Fig8Result", "Fig8Row", "measure_fig8_point", "run_fig8"]
+__all__ = ["Fig8Result", "Fig8Row", "measure_fig8_point"]
 
 
 @dataclass
@@ -100,18 +99,3 @@ def measure_fig8_point(size: int, iterations: int,
     ud = _measure("ud5", size, iterations, timings, seed, build)
     ud_itb = _measure("itb5", size, iterations, timings, seed, build)
     return Fig8Row(size=size, ud_ns=ud, ud_itb_ns=ud_itb)
-
-
-def run_fig8(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    iterations: int = 100,
-    timings: Optional[Timings] = None,
-    seed: int = 2001,
-) -> Fig8Result:
-    """Regenerate Figure 8 (through the unified experiment pipeline)."""
-    from repro.exp import ExperimentSpec, run_experiment
-
-    return run_experiment(ExperimentSpec(
-        experiment="fig8", sizes=tuple(sizes), iterations=iterations,
-        timings=timings, seed=seed,
-    ))

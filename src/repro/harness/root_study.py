@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.routing.itb import ItbRouter
 from repro.routing.minimal import MinimalRouter, switch_distances
@@ -27,7 +26,7 @@ from repro.topology.generators import random_irregular
 from repro.topology.graph import Topology
 
 __all__ = ["RootStudyResult", "RootStudyRow", "measure_root_point",
-           "run_root_study", "worst_root"]
+           "worst_root"]
 
 
 def worst_root(topo: Topology) -> int:
@@ -88,7 +87,12 @@ def measure_root_point(
 ) -> RootStudyRow:
     """Route quality under one root placement (pure routing analysis;
     the topology from ``topo_seed`` is regenerated deterministically,
-    so points are independent and fan out cleanly)."""
+    so points are independent and fan out cleanly).
+
+    ``which`` names the placement: ``"choose"`` = the mapper's
+    min-eccentricity policy, ``"worst"`` = max-eccentricity, or an
+    integer switch id as a string.
+    """
     topo = random_irregular(n_switches, seed=topo_seed,
                             hosts_per_switch=hosts_per_switch,
                             switch_links=switch_links)
@@ -117,31 +121,3 @@ def measure_root_point(
                             if r.n_itbs > 0),
         n_pairs=len(itb_routes),
     )
-
-
-def run_root_study(
-    n_switches: int = 16,
-    topo_seed: int = 33,
-    hosts_per_switch: int = 1,
-    switch_links: int = 3,
-    roots: Sequence[tuple[str, str]] = (("optimal", "choose"),
-                                        ("anti-optimal", "worst")),
-) -> list[RootStudyRow]:
-    """Compare route quality under different root placements
-    (through the unified experiment pipeline).
-
-    ``roots`` names the placements: ``"choose"`` = the mapper's
-    min-eccentricity policy, ``"worst"`` = max-eccentricity, or an
-    integer switch id as a string.
-    """
-    from repro.exp import ExperimentSpec, run_experiment
-
-    result: RootStudyResult = run_experiment(ExperimentSpec(
-        experiment="root-study",
-        n_switches=n_switches,
-        topo_seed=topo_seed,
-        hosts_per_switch=hosts_per_switch,
-        switch_links=switch_links,
-        params={"roots": [list(r) for r in roots]},
-    ))
-    return result.rows

@@ -17,7 +17,7 @@ not the firmware, is the variable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core.builder import BuiltNetwork, build_network
 from repro.core.config import NetworkConfig
@@ -27,7 +27,7 @@ from repro.topology.generators import random_irregular
 from repro.topology.graph import Topology
 
 __all__ = ["ThroughputPoint", "ThroughputResult", "measure_load_point",
-           "run_throughput", "build_load_network"]
+           "build_load_network"]
 
 
 @dataclass
@@ -138,46 +138,3 @@ def measure_load_point(
         pattern=pattern,
         seed=traffic_seed,
     )
-
-
-def run_throughput(
-    n_switches: int = 16,
-    packet_size: int = 512,
-    rates: Sequence[float] = (0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.10),
-    duration_ns: float = 300_000.0,
-    warmup_ns: float = 30_000.0,
-    topo_seed: int = 11,
-    traffic_seed: int = 7,
-    hosts_per_switch: int = 1,
-    routings: Sequence[str] = ("updown", "itb"),
-    pattern_factory=None,
-    timings: Optional[Timings] = None,
-) -> ThroughputResult:
-    """Sweep offered load under both routings on one random topology
-    (through the unified experiment pipeline).
-
-    ``rates`` are offered loads in bytes/ns/host (link capacity is
-    0.16 bytes/ns).  A fresh network is built per point so runs are
-    independent.  ``pattern_factory(hosts)`` may supply a non-uniform
-    destination pattern (callables ride in ``spec.params``, so such a
-    spec is not persistable and fans out only if picklable).
-    """
-    from repro.exp import ExperimentSpec, run_experiment
-
-    params = {}
-    if pattern_factory is not None:
-        params["pattern_factory"] = pattern_factory
-    return run_experiment(ExperimentSpec(
-        experiment="throughput",
-        n_switches=n_switches,
-        packet_size=packet_size,
-        rates=tuple(rates),
-        duration_ns=duration_ns,
-        warmup_ns=warmup_ns,
-        topo_seed=topo_seed,
-        traffic_seed=traffic_seed,
-        hosts_per_switch=hosts_per_switch,
-        routings=tuple(routings),
-        timings=timings,
-        params=params,
-    ))

@@ -5,7 +5,10 @@ EXP-F8, and EXP-F1, evaluates each claim from
 :mod:`repro.harness.paper_claims` against the measured values, and
 prints a single verdict table.  The throughput ratio claim (EXP-M1)
 is optional because it costs minutes at the network size where the
-paper's 2x shows up.
+paper's 2x shows up.  Every measurement runs through
+``Runner().run`` (:mod:`repro.exp`), imported inside
+:func:`validate_claims` so that importing this module loads neither
+the runner nor ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.harness.fig1 import run_fig1
-from repro.harness.fig7 import run_fig7
-from repro.harness.fig8 import run_fig8
 from repro.harness.paper_claims import claim
 from repro.harness.report import format_table
 
@@ -58,24 +59,26 @@ def validate_claims(
     iterations: int = 20,
     sizes: tuple = (16, 128, 1024, 4096),
     include_throughput: bool = False,
-    throughput_switches: int = 32,
 ) -> ValidationReport:
     """Measure and judge every quick-checkable claim.
 
-    With ``include_throughput`` the EXP-M1 ratio is measured too (the
-    band for the 64-switch 2x claim is evaluated at
-    ``throughput_switches`` only when that equals 64; smaller sizes
-    are reported informationally by the caller instead).
+    With ``include_throughput`` the EXP-M1 ratio is measured too, on
+    the 64-switch network its 2x claim is about.
     """
+    from repro.exp import Runner, get_experiment
+
+    runner = Runner()
+    fig7 = get_experiment("fig7").default_spec()
+    fig8 = get_experiment("fig8").default_spec()
     report = ValidationReport()
 
-    f7 = run_fig7(sizes=sizes, iterations=iterations)
+    f7 = runner.run(fig7.replace(sizes=sizes, iterations=iterations)).result
     report.add("f7.mean_overhead_ns", f7.mean_overhead_ns)
     report.add("f7.max_overhead_ns", f7.max_overhead_ns)
     report.add("f7.relative_short_pct", f7.relative_short_pct)
     report.add("f7.relative_long_pct", f7.relative_long_pct)
 
-    f8 = run_fig8(sizes=sizes, iterations=iterations)
+    f8 = runner.run(fig8.replace(sizes=sizes, iterations=iterations)).result
     report.add("f8.overhead_ns", f8.mean_overhead_ns)
     report.add("f8.relative_short_pct", f8.relative_short_pct)
     report.add("f8.relative_long_pct", f8.relative_long_pct)
@@ -87,8 +90,9 @@ def validate_claims(
         itb_early_recv_cycles=18, itb_program_dma_cycles=13,
         host_jitter_sigma_ns=0.0,
     )
-    f8_assumed = run_fig8(sizes=(64,), iterations=max(5, iterations // 4),
-                          timings=t_assumed)
+    f8_assumed = runner.run(fig8.replace(
+        sizes=(64,), iterations=max(5, iterations // 4),
+        timings=t_assumed)).result
     report.add("f8.prior_estimate_ns", f8_assumed.mean_overhead_ns)
 
     f1 = run_fig1()
@@ -109,14 +113,13 @@ def validate_claims(
     assert f1.updown_deadlock_free and f1.itb_deadlock_free
     assert not f1.minimal_deadlock_free
 
-    if include_throughput and throughput_switches >= 64:
-        from repro.harness.throughput import run_throughput
-
-        sweep = run_throughput(
-            n_switches=throughput_switches, packet_size=512,
+    if include_throughput:
+        spec = get_experiment("throughput").default_spec().replace(
+            n_switches=64, packet_size=512,
             rates=(0.02, 0.04, 0.08), duration_ns=250_000.0,
             warmup_ns=50_000.0, hosts_per_switch=2, topo_seed=5,
         )
+        sweep = runner.run(spec).result
         report.add("m1.throughput_ratio_64sw", sweep.throughput_ratio)
 
     return report

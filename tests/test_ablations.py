@@ -4,34 +4,32 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.ablations import (
-    run_ablation_buffer_pool,
-    run_ablation_load,
-    run_ablation_timing,
-)
+from repro.exp import Runner, get_experiment
+from repro.harness.paper_claims import claim
 
 
 class TestBufferPoolAblation:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_ablation_buffer_pool(
-            n_senders=3, packets_per_sender=10,
-            packet_size=1024, pool_bytes=3000,
-        )
+        spec = get_experiment("ablation-bufpool").default_spec()
+        spec = spec.replace(params={**spec.params, "n_senders": 3,
+                                    "packets_per_sender": 10,
+                                    "pool_bytes": 3000})
+        return Runner().run(spec).result
 
     def test_both_schemes_present(self, results):
-        assert set(results) == {"fixed", "pool"}
+        assert [r.kind for r in results.results] == ["fixed", "pool"]
 
     def test_fixed_buffers_never_lose_packets(self, results):
-        fixed = results["fixed"]
+        fixed = results.get("fixed")
         assert fixed.delivered == fixed.offered
         assert fixed.flushed == 0
 
     def test_fixed_buffers_exert_backpressure(self, results):
-        assert results["fixed"].recv_blocked_ns > 0
+        assert results.get("fixed").recv_blocked_ns > 0
 
     def test_pool_flushes_instead_of_blocking(self, results):
-        pool = results["pool"]
+        pool = results.get("pool")
         assert pool.flushed > 0
         assert pool.delivered == pool.offered - pool.flushed
         assert pool.recv_blocked_ns == 0.0
@@ -39,14 +37,16 @@ class TestBufferPoolAblation:
     def test_pool_keeps_the_wire_moving(self, results):
         """Delivered packets see lower latency under the pool because
         the wire never stalls behind a full transit buffer."""
-        assert results["pool"].mean_latency_ns <= \
-            results["fixed"].mean_latency_ns
+        assert results.get("pool").mean_latency_ns <= \
+            results.get("fixed").mean_latency_ns
 
 
 class TestTimingAblation:
     @pytest.fixture(scope="class")
     def rows(self):
-        return run_ablation_timing(size=64, iterations=5)
+        spec = get_experiment("ablation-timing").default_spec().replace(
+            iterations=5)
+        return Runner().run(spec).result.rows
 
     def test_three_regimes(self, rows):
         assert len(rows) == 3
@@ -56,11 +56,11 @@ class TestTimingAblation:
     def test_assumed_regime_near_half_microsecond(self, rows):
         """The [2,3] assumption (275 + 200 ns) lands near 0.5 us."""
         assumed = rows[0]
-        assert 400.0 <= assumed.overhead_ns <= 650.0
+        assert claim("f8.prior_estimate_ns").holds(assumed.overhead_ns)
 
     def test_paper_regime_near_1300ns(self, rows):
         paper = rows[1]
-        assert 1_100.0 <= paper.overhead_ns <= 1_600.0
+        assert claim("f8.overhead_ns").holds(paper.overhead_ns)
 
     def test_overhead_monotone_in_firmware_cost(self, rows):
         by_cost = sorted(rows, key=lambda r: r.firmware_cost_ns)
@@ -72,8 +72,9 @@ class TestLoadAblation:
     def test_marginal_overhead_shrinks_under_load(self):
         """The paper's argument: under load the ITB delay hides behind
         queueing the packet would suffer anyway."""
-        res = run_ablation_load(size=256, iterations=12,
-                                background_gap_ns=9_000.0)
+        spec = get_experiment("ablation-load").default_spec().replace(
+            iterations=12)
+        res = Runner().run(spec).result
         assert res.overhead_unloaded_ns > 1_000.0
         assert res.marginal_fraction < 1.5  # sanity: same order
         # The headline claim: loaded marginal cost does not exceed the

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.apps import KERNELS, run_app_comparison, run_kernel
+from repro.exp import Runner, get_experiment
+from repro.harness.apps import KERNELS, run_kernel
 from repro.harness.throughput import build_load_network
 from repro.topology.generators import random_irregular
 
@@ -50,10 +51,9 @@ class TestRunKernel:
 class TestComparison:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_app_comparison(
-            n_switches=8, kernels=("all-to-all", "ring"),
-            iterations=2, message_size=1024, hosts_per_switch=2,
-        )
+        spec = get_experiment("apps").default_spec().replace(
+            n_switches=8, kernels=("all-to-all", "ring"), iterations=2)
+        return Runner().run(spec).result.results
 
     def test_every_combination_present(self, results):
         combos = {(r.kernel, r.routing) for r in results}

@@ -54,16 +54,6 @@ class TestBuildNetwork:
         assert isinstance(net_o.nic("host1").firmware, OriginalFirmware)
         assert isinstance(net_i.nic("host1").firmware, ItbFirmware)
 
-    def test_firmware_overrides(self):
-        topo, roles = fig6_testbed()
-        cfg = NetworkConfig(
-            firmware="original",
-            firmware_overrides={roles["itb"]: "itb"},
-        )
-        net = build_network(topo, config=cfg, roles=roles)
-        assert isinstance(net.nic("host1").firmware, OriginalFirmware)
-        assert isinstance(net.nic("itb").firmware, ItbFirmware)
-
     def test_buffer_kinds(self):
         net_f = build_network("fig6",
                               config=NetworkConfig(recv_buffer_kind="fixed"))

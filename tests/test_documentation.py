@@ -38,15 +38,18 @@ class TestModuleDocstrings:
 
 class TestPublicApiDocstrings:
     def _public_members(self):
+        """Every class and function a module's ``__all__`` exports; a
+        name that does not resolve fails the test."""
         for module_name in ALL_MODULES:
             module = importlib.import_module(module_name)
             exported = getattr(module, "__all__", None)
             if exported is None:
                 continue
             for name in exported:
-                obj = getattr(module, name, None)
-                if obj is None:
-                    continue
+                assert hasattr(module, name), (
+                    f"{module_name}.__all__ names {name!r}, which the"
+                    " module does not define")
+                obj = getattr(module, name)
                 if inspect.isclass(obj) or inspect.isfunction(obj):
                     yield f"{module_name}.{name}", obj
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.timings import Timings
 from repro.exp import (ExperimentSpec, Runner, get_experiment,
-                       list_experiments, run_experiment)
+                       list_experiments)
 
 #: A small spec with several independent points — cheap enough for a
 #: parallel-vs-serial comparison, rich enough to exercise the merge.
@@ -61,23 +61,20 @@ class TestRunner:
             Runner().run(SWEEP_SPEC, jobs=0)
 
     @pytest.mark.parametrize("experiment", ["fig7", "fig8", "throughput",
-                                            "apps", "vc-study"])
+                                            "apps", "vc-study",
+                                            "fault-campaign"])
     def test_spec_without_points_raises(self, experiment):
-        """A bare spec leaves the experiment's grid empty: the run
-        must fail naming the experiment, not return nothing."""
+        """A bare spec leaves the experiment's grid empty, or lacks a
+        ``params`` key its points read: the run must fail naming the
+        experiment, not return nothing or raise a bare ``KeyError``."""
         with pytest.raises(ValueError, match=experiment):
             Runner().run(ExperimentSpec(experiment=experiment))
 
-    def test_accepts_experiment_name(self):
+    def test_runs_a_replaced_default_spec(self):
         report = Runner().run(
             get_experiment("root-study").default_spec().replace(
                 n_switches=8))
         assert len(report.result.rows) == 2
-
-    def test_on_point_fires_in_order(self):
-        seen = []
-        Runner().run(SWEEP_SPEC, on_point=lambda i, v: seen.append(i))
-        assert seen == [0, 1, 2, 3]
 
     def test_observe_collects_metrics(self, tmp_path):
         from repro.obs.exporters import parse_prometheus_text
@@ -147,19 +144,14 @@ class TestPipelineMatchesDirectMeasurement:
 
     def test_fig7_identical_to_direct(self):
         from repro.core.builder import build_network
-        from repro.harness.fig7 import measure_fig7_point, run_fig7
+        from repro.harness.fig7 import measure_fig7_point
 
-        via_pipeline = run_fig7(sizes=(16, 1024), iterations=3)
+        via_pipeline = Runner().run(
+            get_experiment("fig7").default_spec().replace(
+                sizes=(16, 1024), iterations=3)).result
         direct = [measure_fig7_point(s, 3, None, 2001,
                                      build=build_network)
                   for s in (16, 1024)]
         assert [(r.size, r.original_ns, r.modified_ns)
                 for r in via_pipeline.rows] == \
             [(r.size, r.original_ns, r.modified_ns) for r in direct]
-
-    def test_run_experiment_convenience(self):
-        result = run_experiment(
-            ExperimentSpec(experiment="fig8", sizes=(16,), iterations=2),
-        )
-        assert len(result.rows) == 1
-        assert result.rows[0].overhead_ns > 0

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.timings import Timings
-from repro.harness.fig7 import Fig7Result, Fig7Row, run_fig7
+from repro.exp import Runner, get_experiment
+from repro.harness.fig7 import Fig7Result, Fig7Row
+from repro.harness.paper_claims import claim
 
 SIZES = (16, 256, 2048)
 
@@ -14,7 +16,9 @@ SIZES = (16, 256, 2048)
 def fig7() -> Fig7Result:
     # Noise-free, few iterations: the deltas are exact in simulation.
     t = Timings().with_overrides(host_jitter_sigma_ns=0.0)
-    return run_fig7(sizes=SIZES, iterations=10, timings=t)
+    spec = get_experiment("fig7").default_spec().replace(
+        sizes=SIZES, iterations=10, timings=t)
+    return Runner().run(spec).result
 
 
 class TestFig7Shape:
@@ -24,7 +28,7 @@ class TestFig7Shape:
 
     def test_overhead_never_exceeds_300ns(self, fig7):
         """Paper: difference never exceeds ~300 ns."""
-        assert fig7.max_overhead_ns <= 300.0
+        assert claim("f7.max_overhead_ns").holds(fig7.max_overhead_ns)
 
     def test_overhead_always_positive(self, fig7):
         """The modified firmware is never faster."""
@@ -42,8 +46,8 @@ class TestFig7Shape:
 
     def test_relative_range_matches_paper(self, fig7):
         """Paper: ~1 % for short packets, falling under ~0.5 %."""
-        assert 0.5 <= fig7.relative_short_pct <= 2.5
-        assert fig7.relative_long_pct <= 0.7
+        assert claim("f7.relative_short_pct").holds(fig7.relative_short_pct)
+        assert claim("f7.relative_long_pct").holds(fig7.relative_long_pct)
 
     def test_latency_grows_with_size(self, fig7):
         originals = [r.original_ns for r in fig7.rows]
@@ -55,7 +59,9 @@ class TestFig7WithNoise:
         """With host noise on (the default), per-size averages stay
         near the instruction cost — the paper's 125 ns average with
         scatter bounded well under 300 ns."""
-        res = run_fig7(sizes=(64,), iterations=60, seed=42)
+        spec = get_experiment("fig7").default_spec().replace(
+            sizes=(64,), iterations=60, seed=42)
+        res = Runner().run(spec).result
         assert 60.0 <= res.mean_overhead_ns <= 250.0
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.timings import Timings
-from repro.harness.fig8 import Fig8Result, Fig8Row, run_fig8
+from repro.exp import Runner, get_experiment
+from repro.harness.fig8 import Fig8Result, Fig8Row
+from repro.harness.paper_claims import claim
 
 SIZES = (16, 256, 4096)
 
@@ -13,13 +15,15 @@ SIZES = (16, 256, 4096)
 @pytest.fixture(scope="module")
 def fig8() -> Fig8Result:
     t = Timings().with_overrides(host_jitter_sigma_ns=0.0)
-    return run_fig8(sizes=SIZES, iterations=10, timings=t)
+    spec = get_experiment("fig8").default_spec().replace(
+        sizes=SIZES, iterations=10, timings=t)
+    return Runner().run(spec).result
 
 
 class TestFig8Shape:
     def test_overhead_near_1300ns(self, fig8):
         """Paper: ~1.3 us per ITB."""
-        assert 1_100.0 <= fig8.mean_overhead_ns <= 1_600.0
+        assert claim("f8.overhead_ns").holds(fig8.mean_overhead_ns)
 
     def test_overhead_size_independent(self, fig8):
         """The per-ITB cost is a header-time cost: it must not grow
@@ -50,7 +54,7 @@ class TestFig8Shape:
 
     def test_relative_range_matches_paper(self, fig8):
         """Paper: ~10 % short, ~3 % long."""
-        assert 5.0 <= fig8.relative_short_pct <= 16.0
+        assert claim("f8.relative_short_pct").holds(fig8.relative_short_pct)
         assert fig8.relative_long_pct <= 4.0
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.throughput import build_load_network, run_throughput
+from repro.exp import Runner, get_experiment
+from repro.harness.throughput import build_load_network
 from repro.harness.workloads import (
     drive_traffic,
     hotspot_traffic,
@@ -82,12 +83,13 @@ class TestDriveTraffic:
 class TestThroughputSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_throughput(
+        spec = get_experiment("throughput").default_spec().replace(
             n_switches=8, packet_size=256,
             rates=(0.01, 0.05, 0.10),
             duration_ns=120_000, warmup_ns=20_000,
             hosts_per_switch=2,
         )
+        return Runner().run(spec).result
 
     def test_series_structure(self, sweep):
         assert len(sweep.series("updown")) == 3

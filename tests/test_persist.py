@@ -7,29 +7,29 @@ import json
 import pytest
 
 from repro.core.timings import Timings
-from repro.exp import ExperimentSpec
+from repro.exp import ExperimentSpec, Runner, get_experiment
 from repro.harness.ablations import (AblationLoadResult, BufferPoolResult,
                                      BufferPoolStudyResult, TimingSweepResult,
                                      TimingSweepRow)
 from repro.harness.apps import AppResult, AppsResult
-from repro.harness.fig7 import run_fig7
-from repro.harness.fig8 import run_fig8
 from repro.harness.persist import (from_document, load_results, save_results,
                                    to_document)
 from repro.harness.root_study import RootStudyResult, RootStudyRow
-from repro.harness.throughput import run_throughput
 
 
 @pytest.fixture(scope="module")
 def small_results():
     t = Timings().with_overrides(host_jitter_sigma_ns=0.0)
-    return {
-        "fig7": run_fig7(sizes=(16, 1024), iterations=3, timings=t),
-        "fig8": run_fig8(sizes=(16, 1024), iterations=3, timings=t),
-        "m1": run_throughput(n_switches=4, packet_size=256,
-                             rates=(0.02,), duration_ns=40_000,
-                             warmup_ns=5_000, hosts_per_switch=1),
+    specs = {
+        "fig7": get_experiment("fig7").default_spec().replace(
+            sizes=(16, 1024), iterations=3, timings=t),
+        "fig8": get_experiment("fig8").default_spec().replace(
+            sizes=(16, 1024), iterations=3, timings=t),
+        "m1": get_experiment("throughput").default_spec().replace(
+            n_switches=4, packet_size=256, rates=(0.02,),
+            duration_ns=40_000, warmup_ns=5_000),
     }
+    return {key: Runner().run(spec).result for key, spec in specs.items()}
 
 
 class TestRoundTrip:

@@ -3,8 +3,10 @@
 networkx is a test oracle (``pip install -e .[dev]``), never a runtime
 import.  ``multiprocessing`` is imported only by the experiment
 runner's process pool, so a bare build and simulation never load it.
-Other tests import both into this pytest process, so the check runs
-the runtime in a fresh interpreter.
+Harness modules measure and only the runner runs experiments, so the
+harness modules the perf workloads import load neither ``repro.exp``
+nor ``multiprocessing``.  Other tests import all of these into this
+pytest process, so the check runs the runtime in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -46,6 +48,20 @@ assert is_deadlock_free(fabric.topo, routes)
 
 assert_not_loaded("multiprocessing")
 assert_not_loaded("networkx")
+
+# What benchmarks/perf/workloads.py imports of the harness.
+import repro.harness.adaptive
+import repro.harness.faultcamp
+import repro.harness.fig7
+import repro.harness.fig8
+import repro.harness.paper_claims
+import repro.harness.throughput
+import repro.harness.workloads
+
+assert_not_loaded("multiprocessing")
+loaded = sorted(name for name in sys.modules
+                if name == "repro.exp" or name.startswith("repro.exp."))
+assert not loaded, loaded
 print("ok")
 """
 

@@ -41,6 +41,32 @@ class TestValidateClaims:
         keys = {c.key for (c, _m, _ok) in report.entries}
         assert "m1.throughput_ratio_64sw" not in keys
 
+    def test_include_throughput_measures_64_switches(self, monkeypatch):
+        """``include_throughput=True`` alone judges the EXP-M1 ratio on
+        the 64-switch network.  The sweep costs minutes, so the runner
+        is stubbed for that one experiment."""
+        from types import SimpleNamespace
+
+        from repro.exp import Runner, RunReport
+
+        real_run = Runner.run
+        swept = []
+
+        def run(self, spec, **kwargs):
+            if spec.experiment != "throughput":
+                return real_run(self, spec, **kwargs)
+            swept.append(spec)
+            return RunReport(spec=spec,
+                             result=SimpleNamespace(throughput_ratio=2.0),
+                             n_points=0, jobs=1, elapsed_s=0.0)
+
+        monkeypatch.setattr(Runner, "run", run)
+        report = validate_claims(iterations=2, sizes=(16,),
+                                 include_throughput=True)
+        measured = {c.key: m for (c, m, _ok) in report.entries}
+        assert measured["m1.throughput_ratio_64sw"] == 2.0
+        assert [spec.n_switches for spec in swept] == [64]
+
 
 class TestCliValidate:
     def test_exit_code_zero_when_all_hold(self, capsys):
